@@ -6,12 +6,17 @@ coordinates are optional metadata produced by the generators.  Geodesic
 distances are approximated by shortest paths on a Steiner-refined graph
 (edge subdivision plus in-face crossing edges), which overestimates the
 true distance by O(h).
+
+Mesh data are arrays: the edge table, the face-edge and edge-face
+incidences and the vertex-corner incidence all come from one sort of the
+face half-edges (see :func:`_incidence`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -31,51 +36,129 @@ from .model import comparison_angle
 # are singular; generators of flat meshes must stay below it.
 SINGULAR_ANGLE_TOL = 1e-9
 
-# Frozen regression constant: graph distances on generated meshes were
-# measured to overestimate geodesics by less than this multiple of the
-# Steiner spacing (see test_space.py refinement checks).
+# Frozen constant, not a bound: DistanceField.error_bound is this multiple
+# of the Steiner spacing.  It was fitted to one flat-disk test; on
+# flat_disk(1, 0.04) at spacing 0.016 the graph overestimates by 2.2-2.4
+# spacings.  A bound derived from the construction replaces it (ROADMAP
+# item 4).
 DISTANCE_ERROR_FACTOR = 2.0
 
 
-def _canon(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
+def _first(mask) -> int:
+    """Index of the first True entry of a boolean array that has one."""
+    return int(np.argmax(mask))
+
+
+def _edge_keys(u, v, n):
+    """Key min * n + max of each vertex pair; injective for ids in [0, n)."""
+    return np.minimum(u, v) * n + np.maximum(u, v)
+
+
+def _find(sorted_keys, query):
+    """Positions of `query` in a sorted key array, and which were found."""
+    pos = np.minimum(np.searchsorted(sorted_keys, query), len(sorted_keys) - 1)
+    return pos, sorted_keys[pos] == query
+
+
+@dataclass
+class _Incidence:
+    """Edge table and incidences of an (F, 3) face array.
+
+    Half-edge 3 f + s is side s of face f: it lies opposite corner s and
+    runs from corner s + 1 to corner s + 2 (mod 3).  Corner 3 f + t is
+    corner t of face f.
+    """
+
+    edges: np.ndarray        # (E, 2) endpoints, smaller first, sorted by (min, max)
+    face_edge: np.ndarray    # (F, 3) edge of each side
+    edge_sides: np.ndarray   # (E, 2) first two half-edges on each edge, -1 if missing
+    edge_degree: np.ndarray  # (E,) faces on each edge
+    corner_ptr: np.ndarray   # (V + 1,) CSR row pointer of the vertex-corner incidence
+    corners: np.ndarray      # corners at each vertex, in face order
+
+    def oriented_edges(self, faces):
+        """Endpoints (u, v) of each edge in the direction its first face runs it."""
+        h = self.edge_sides[:, 0]
+        f, s = np.divmod(h, 3)
+        return faces[f, (s + 1) % 3], faces[f, (s + 2) % 3]
+
+
+def _incidence(faces: np.ndarray, n_vertices: int) -> _Incidence:
+    """Edge table and incidences from one stable sort of the face half-edges.
+
+    This is np.unique over the half-edge keys, written out because the
+    sort order itself gives the edge-face incidence: the half-edges on an
+    edge are adjacent in it, in face order.
+    """
+    tail = faces[:, [1, 2, 0]].ravel()
+    head = faces[:, [2, 0, 1]].ravel()
+    keys = _edge_keys(tail, head, n_vertices)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    new = np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
+    start = np.flatnonzero(new)
+    degree = np.diff(np.r_[start, len(keys)])
+    edge_id = np.empty(len(keys), dtype=np.int64)
+    edge_id[order] = np.cumsum(new) - 1
+    ukeys = sorted_keys[start]
+    sides = np.full((len(start), 2), -1, dtype=np.int64)
+    sides[:, 0] = order[start]
+    shared = degree > 1
+    sides[shared, 1] = order[start[shared] + 1]
+
+    corner_vertex = faces.ravel()
+    counts = np.bincount(corner_vertex, minlength=n_vertices)
+    return _Incidence(
+        edges=np.c_[ukeys // n_vertices, ukeys % n_vertices],
+        face_edge=edge_id.reshape(-1, 3),
+        edge_sides=sides,
+        edge_degree=degree,
+        corner_ptr=np.r_[0, np.cumsum(counts)],
+        corners=np.argsort(corner_vertex, kind="stable"),
+    )
+
+
+class _EdgeIndex:
+    """Read-only {(i, j): edge id} lookup, in either endpoint order."""
+
+    def __init__(self, edges: np.ndarray, n_vertices: int):
+        self._n = n_vertices
+        self._keys = edges[:, 0] * n_vertices + edges[:, 1]
+
+    def __getitem__(self, ij) -> int:
+        i, j = (int(x) for x in ij)
+        pos, found = _find(self._keys, min(i, j) * self._n + max(i, j))
+        if not (0 <= min(i, j) and max(i, j) < self._n and found):
+            raise KeyError(ij)
+        return int(pos)
 
 
 class ConeSurface:
     """Triangulated polyhedral metric surface with cone singularities.
 
     Construct via :func:`build_surface` or one of the generators; the
-    constructor assumes pre-validated inputs.
+    constructor assumes pre-validated inputs: `edge_lengths` holds the
+    length of each edge of `incidence`.
     """
 
-    def __init__(self, n_vertices, faces, edge_lengths, declared_k=0.0,
-                 embedding=None, mesh_h=None):
-        self.n_vertices = int(n_vertices)
+    def __init__(self, faces, incidence: _Incidence, edge_lengths,
+                 declared_k=0.0, embedding=None, mesh_h=None):
         self.faces = np.asarray(faces, dtype=np.int64)
+        self.n_vertices = len(incidence.corner_ptr) - 1
         self.declared_k = float(declared_k)
         self.embedding = None if embedding is None else np.asarray(embedding, float)
 
-        # canonical edge table
-        edge_index: dict[tuple[int, int], int] = {}
-        lengths = []
-        for (i, j), lij in edge_lengths.items():
-            edge_index[_canon(i, j)] = len(lengths)
-            lengths.append(float(lij))
-        self.edge_index = edge_index
-        self.edge_lengths = np.asarray(lengths, dtype=float)
-        self.edges = np.empty((len(lengths), 2), dtype=np.int64)
-        for (i, j), e in edge_index.items():
-            self.edges[e] = (i, j)
-
-        F = len(self.faces)
+        self.edges = incidence.edges
+        self.edge_lengths = np.asarray(edge_lengths, dtype=float)
+        self.edge_index = _EdgeIndex(self.edges, self.n_vertices)
         # side s of face f is opposite local vertex s
-        self.face_edge = np.empty((F, 3), dtype=np.int64)
-        self.face_side_len = np.empty((F, 3), dtype=float)
-        for f, (a, b, c) in enumerate(self.faces):
-            for s, (u, v) in enumerate(((b, c), (c, a), (a, b))):
-                e = edge_index[_canon(u, v)]
-                self.face_edge[f, s] = e
-                self.face_side_len[f, s] = self.edge_lengths[e]
+        self.face_edge = incidence.face_edge
+        self.face_side_len = self.edge_lengths[self.face_edge]
+        self.edge_sides = incidence.edge_sides
+        # (E, 2) faces on each edge, -1 where a boundary edge has no second
+        self.edge_faces = np.where(self.edge_sides >= 0, self.edge_sides // 3, -1)
+        self._corner_ptr = incidence.corner_ptr
+        self._corners = incidence.corners
 
         l0, l1, l2 = (self.face_side_len[:, s] for s in range(3))
         self.corner_angle = np.stack(
@@ -91,18 +174,9 @@ class ConeSurface:
             np.maximum(s * (s - l0) * (s - l1) * (s - l2), 0.0)
         )
 
-        # edge -> incident faces
-        edge_faces: list[list[int]] = [[] for _ in range(len(lengths))]
-        for f in range(F):
-            for s in range(3):
-                edge_faces[self.face_edge[f, s]].append(f)
-        self.edge_faces = edge_faces
-        self.boundary_edges = np.asarray(
-            [e for e, fs in enumerate(edge_faces) if len(fs) == 1], dtype=np.int64
-        )
+        self.boundary_edges = np.flatnonzero(self.edge_faces[:, 1] < 0)
         bmask = np.zeros(self.n_vertices, dtype=bool)
-        for e in self.boundary_edges:
-            bmask[self.edges[e]] = True
+        bmask[self.edges[self.boundary_edges].ravel()] = True
         self.boundary_vertex = bmask
 
         self.cone_angle = np.zeros(self.n_vertices)
@@ -135,6 +209,10 @@ class ConeSurface:
     @property
     def total_area(self) -> float:
         return float(self.face_area.sum())
+
+    def vertex_corners(self, p: int) -> np.ndarray:
+        """Corners 3 f + t at vertex p, in face order."""
+        return self._corners[self._corner_ptr[p] : self._corner_ptr[p + 1]]
 
     def charts(self) -> np.ndarray:
         """Per-face 2D coordinates (F, 3, 2) laid out from side lengths."""
@@ -186,78 +264,172 @@ def build_surface(faces, edge_lengths, declared_k=0.0, embedding=None,
                   mesh_h=None) -> ConeSurface:
     """Validate raw face/edge data and assemble a ConeSurface.
 
-    edge_lengths may be a dict {(i, j): L} or an iterable of (i, j, L)
-    records; duplicate records must agree to 1e-9 relative or the gluing
-    is rejected.
+    edge_lengths gives the length of every edge of the faces, as one of:
+
+    - a function of the endpoint arrays (u, v) of all edges that returns
+      their lengths as an array.  Edges come sorted by (min, max), each
+      oriented the way the first face on it runs it;
+    - a dict {(i, j): L};
+    - an iterable of (i, j, L) records.
+
+    Duplicate records must agree to 1e-9 relative or the gluing is
+    rejected, and a record for a pair that is not a face side is rejected.
+    Every edge must lie on at most two faces, and the corners at each
+    vertex must form one fan.  With at most two faces per edge, one fan is
+    a cycle around an interior vertex or an arc between the two boundary
+    edges at a boundary vertex.
     """
     faces = np.asarray(faces, dtype=np.int64)
     if faces.ndim != 2 or faces.shape[1] != 3:
         raise DomainError("faces must be an (F, 3) array of vertex ids")
     if len(faces) == 0:
         raise DomainError("a surface needs at least one face")
+    if faces.min() < 0:
+        raise DomainError("vertex ids must be nonnegative")
+    a, b, c = faces.T
+    repeated = (a == b) | (b == c) | (c == a)
+    if repeated.any():
+        raise DomainError(f"face {_first(repeated)} repeats a vertex")
     n_vertices = int(faces.max()) + 1
 
-    table: dict[tuple[int, int], float] = {}
-    records = edge_lengths.items() if isinstance(edge_lengths, dict) else (
-        ((i, j), l) for i, j, l in edge_lengths
-    )
-    for (i, j), lij in records:
-        if i == j:
-            raise InconsistentGluingError(f"degenerate edge ({i}, {j})")
-        lij = float(lij)
-        if not math.isfinite(lij) or lij <= 0:
-            raise DomainError(f"edge ({i}, {j}) has invalid length {lij}")
-        key = _canon(int(i), int(j))
-        if key in table and abs(table[key] - lij) > 1e-9 * max(table[key], lij):
-            raise InconsistentGluingError(
-                f"edge {key} declared with lengths {table[key]} and {lij}"
-            )
-        table[key] = lij
+    inc = _incidence(faces, n_vertices)
+    if callable(edge_lengths):
+        u, v = inc.oriented_edges(faces)
+        lengths = np.asarray(edge_lengths(u, v), dtype=float)
+        if lengths.shape != (len(u),):
+            raise DomainError(f"edge length function returned shape {lengths.shape}, "
+                              f"expected ({len(u)},)")
+        _check_lengths(u, v, lengths)
+    else:
+        lengths = _record_lengths(edge_lengths, inc, n_vertices)
+    crowded = inc.edge_degree > 2
+    if crowded.any():
+        i, j = inc.edges[_first(crowded)]
+        raise InconsistentGluingError(f"edge ({i}, {j}) is shared by more than two faces")
+    side = lengths[inc.face_edge]
+    l0, l1, l2 = side.T
+    bad = (l0 + l1 <= l2) | (l1 + l2 <= l0) | (l2 + l0 <= l1)
+    if bad.any():
+        f = _first(bad)
+        raise TriangleInequalityError(
+            f"face {f} has side lengths {side[f].tolist()} violating the strict "
+            "triangle inequality"
+        )
 
-    edge_faces: dict[tuple[int, int], int] = {}
-    for f, (a, b, c) in enumerate(faces):
-        if len({a, b, c}) != 3:
-            raise DomainError(f"face {f} repeats a vertex")
-        sides = []
-        for u, v in ((b, c), (c, a), (a, b)):
-            key = _canon(int(u), int(v))
-            if key not in table:
-                raise DomainError(f"face {f} uses edge {key} with no declared length")
-            edge_faces[key] = edge_faces.get(key, 0) + 1
-            if edge_faces[key] > 2:
-                raise InconsistentGluingError(f"edge {key} is shared by more than two faces")
-            sides.append(table[key])
-        l0, l1, l2 = sides
-        if l0 + l1 <= l2 or l1 + l2 <= l0 or l2 + l0 <= l1:
-            raise TriangleInequalityError(
-                f"face {f} has side lengths {sides} violating the strict triangle inequality"
-            )
-
-    surf = ConeSurface(n_vertices, faces, table, declared_k, embedding, mesh_h)
+    surf = ConeSurface(faces, inc, lengths, declared_k, embedding, mesh_h)
 
     # connectivity of the face-adjacency graph, and no orphan vertices
-    seen_v = np.zeros(n_vertices, dtype=bool)
-    seen_v[faces.ravel()] = True
-    if not seen_v.all():
+    if not np.all(inc.corner_ptr[1:] > inc.corner_ptr[:-1]):
         raise DisconnectedError("surface has vertices not contained in any face")
     n_comp = _face_components(surf)
     if n_comp != 1:
         raise DisconnectedError(f"face-adjacency graph has {n_comp} components")
+    fans = _fans_per_vertex(surf)
+    if np.any(fans != 1):
+        p = _first(fans != 1)
+        n_bnd = np.count_nonzero(surf.edges[surf.boundary_edges] == p)
+        raise InconsistentGluingError(
+            f"vertex {p} is pinched: its corners form {fans[p]} fans, "
+            f"with {n_bnd} boundary edges"
+        )
     return surf
+
+
+def _check_lengths(i, j, lengths) -> None:
+    bad = ~(np.isfinite(lengths) & (lengths > 0))
+    if bad.any():
+        k = _first(bad)
+        raise DomainError(f"edge ({i[k]}, {j[k]}) has invalid length {lengths[k]}")
+
+
+def _record_lengths(edge_lengths, inc: _Incidence, n_vertices) -> np.ndarray:
+    """Per-edge lengths from a dict {(i, j): L} or from (i, j, L) records."""
+    if isinstance(edge_lengths, dict):
+        pairs, lengths = list(edge_lengths), list(edge_lengths.values())
+        i, j = zip(*pairs) if pairs else ((), ())
+    else:
+        records = list(edge_lengths)
+        i, j, lengths = zip(*records) if records else ((), (), ())
+    i = np.asarray(i, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=float)
+    if np.any(i == j):
+        k = _first(i == j)
+        raise InconsistentGluingError(f"degenerate edge ({i[k]}, {j[k]})")
+    _check_lengths(i, j, lengths)
+
+    def no_side(lo, hi):
+        return DomainError(
+            f"edge ({lo}, {hi}) has a declared length but is not a side of any face"
+        )
+
+    outside = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n_vertices)
+    if outside.any():
+        raise no_side(i[_first(outside)], j[_first(outside)])
+    keys = _edge_keys(i, j, n_vertices)
+    order = np.argsort(keys, kind="stable")
+    keys, lengths = keys[order], lengths[order]
+    same = keys[1:] == keys[:-1]
+    clash = same & (
+        np.abs(lengths[1:] - lengths[:-1]) > 1e-9 * np.maximum(lengths[1:], lengths[:-1])
+    )
+    if clash.any():
+        k = _first(clash)
+        lo, hi = divmod(int(keys[k]), n_vertices)
+        raise InconsistentGluingError(
+            f"edge ({lo}, {hi}) declared with lengths {lengths[k]} and {lengths[k + 1]}"
+        )
+    last = np.ones(len(keys), dtype=bool)  # the last record of each pair wins
+    last[:-1] = ~same
+    keys, lengths = keys[last], lengths[last]
+
+    at, found = _find(inc.edges[:, 0] * n_vertices + inc.edges[:, 1], keys)
+    if not found.all():
+        raise no_side(*divmod(int(keys[_first(~found)]), n_vertices))
+    out = np.full(len(inc.edges), np.nan)
+    out[at] = lengths
+    missing = np.isnan(out)
+    if missing.any():
+        side = inc.edge_sides[missing, 0].min()
+        i, j = inc.edges[inc.face_edge.ravel()[side]]
+        raise DomainError(f"face {side // 3} uses edge ({i}, {j}) with no declared length")
+    return out
 
 
 def _face_components(surf: ConeSurface) -> int:
     F = surf.n_faces
-    rows, cols = [], []
-    for fs in surf.edge_faces:
-        if len(fs) == 2:
-            rows.append(fs[0])
-            cols.append(fs[1])
+    shared = surf.edge_faces[surf.edge_faces[:, 1] >= 0]
     adj = sparse.coo_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(F, F)
+        (np.ones(len(shared)), (shared[:, 0], shared[:, 1])), shape=(F, F)
     )
     n, _ = csgraph.connected_components(adj, directed=False)
     return n
+
+
+def _fans_per_vertex(surf: ConeSurface) -> np.ndarray:
+    """Number of fans at each vertex: groups of its corners that are
+    connected through shared edges."""
+    two = surf.edge_sides[:, 1] >= 0
+    h0, h1 = surf.edge_sides[two, 0], surf.edge_sides[two, 1]
+
+    def ends(h):
+        """Corners at the tail and at the head of half-edges h."""
+        base = h - h % 3
+        return base + (h + 1) % 3, base + (h + 2) % 3
+
+    corner_vertex = surf.faces.ravel()
+    t0, e0 = ends(h0)
+    t1, e1 = ends(h1)
+    # join the corners at the same endpoint, whichever way each face runs the edge
+    same = corner_vertex[t0] == corner_vertex[t1]
+    rows = np.r_[t0, e0]
+    cols = np.r_[np.where(same, t1, e1), np.where(same, e1, t1)]
+    n = len(corner_vertex)
+    adj = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    n_comp, label = csgraph.connected_components(adj, directed=False)
+    fan_vertex = np.empty(n_comp, dtype=np.int64)
+    fan_vertex[label] = corner_vertex
+    return np.bincount(fan_vertex, minlength=surf.n_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -266,25 +438,21 @@ def _face_components(surf: ConeSurface) -> int:
 
 
 def _zip_rings(inner_ids, inner_ang, outer_ids, outer_ang, period):
-    """Triangulate the annulus between two sorted angular rings."""
-    faces = []
+    """Triangulate the annulus between two sorted angular rings.
+
+    Each face advances one ring by one vertex; the steps are taken in the
+    order of the angle they advance to, the inner ring first on ties.
+    """
     a, b = len(inner_ids), len(outer_ids)
     if a == 1:
-        for j in range(b):
-            faces.append((inner_ids[0], outer_ids[j], outer_ids[(j + 1) % b]))
-        return faces
-    i = j = 0
-    while i < a or j < b:
-        ii, jj = i % a, j % b
-        ai = inner_ang[(i + 1) % a] + period * ((i + 1) // a)
-        aj = outer_ang[(j + 1) % b] + period * ((j + 1) // b)
-        if i < a and (j >= b or ai <= aj):
-            faces.append((inner_ids[ii], outer_ids[jj], inner_ids[(i + 1) % a]))
-            i += 1
-        else:
-            faces.append((inner_ids[ii], outer_ids[jj], outer_ids[(j + 1) % b]))
-            j += 1
-    return faces
+        return np.c_[np.full(b, inner_ids[0]), outer_ids, np.roll(outer_ids, -1)]
+    to_inner = np.r_[inner_ang[1:], inner_ang[0] + period]
+    to_outer = np.r_[outer_ang[1:], outer_ang[0] + period]
+    inner_step = np.argsort(np.r_[to_inner, to_outer], kind="stable") < a
+    i = np.cumsum(inner_step) - inner_step  # inner steps taken before each step
+    j = np.arange(a + b) - i
+    third = np.where(inner_step, inner_ids[(i + 1) % a], outer_ids[(j + 1) % b])
+    return np.c_[inner_ids[i % a], outer_ids[j % b], third]
 
 
 def _polar_mesh(total_angle: float, R: float, h: float, ring_scale: float):
@@ -294,45 +462,20 @@ def _polar_mesh(total_angle: float, R: float, h: float, ring_scale: float):
     (radii per vertex, angles per vertex, faces).
     """
     n_rings = max(2, round(R / h))
-    dr = R / n_rings
-    radii = [0.0]
-    angles = [0.0]
-    ring_ids = [[0]]
-    ring_angles = [[0.0]]
-    for k in range(1, n_rings + 1):
-        r = k * dr
-        n_k = max(3, round(total_angle * r / (ring_scale * h)))
-        ids = list(range(len(radii), len(radii) + n_k))
-        angs = [total_angle * m / n_k for m in range(n_k)]
-        radii.extend([r] * n_k)
-        angles.extend(angs)
-        ring_ids.append(ids)
-        ring_angles.append(angs)
-    faces = []
-    for k in range(n_rings):
-        faces.extend(
-            _zip_rings(
-                ring_ids[k], ring_angles[k], ring_ids[k + 1], ring_angles[k + 1],
-                total_angle,
-            )
-        )
-    return np.asarray(radii), np.asarray(angles), np.asarray(faces, dtype=np.int64)
-
-
-def _cone_edge_lengths(faces, radii, angles, total_angle):
-    lengths = {}
-    for a, b, c in faces:
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = _canon(int(u), int(v))
-            if key in lengths:
-                continue
-            dphi = abs(angles[u] - angles[v])
-            dphi = min(dphi, total_angle - dphi)
-            r1, r2 = radii[u], radii[v]
-            lengths[key] = math.sqrt(
-                max(r1 * r1 + r2 * r2 - 2 * r1 * r2 * math.cos(dphi), 0.0)
-            )
-    return lengths
+    r = np.arange(n_rings + 1) * (R / n_rings)
+    counts = np.r_[1, np.maximum(3, np.rint(total_angle * r[1:] / (ring_scale * h)))]
+    counts = counts.astype(np.int64)
+    start = np.r_[0, np.cumsum(counts)]
+    ring = np.repeat(np.arange(n_rings + 1), counts)
+    ids = np.arange(start[-1])
+    angles = total_angle * (ids - start[ring]) / counts[ring]
+    rings = [slice(start[k], start[k + 1]) for k in range(n_rings + 1)]
+    faces = np.concatenate([
+        _zip_rings(ids[rings[k]], angles[rings[k]], ids[rings[k + 1]],
+                   angles[rings[k + 1]], total_angle)
+        for k in range(n_rings)
+    ])
+    return r[ring], angles, faces
 
 
 def flat_disk(R: float, h: float) -> ConeSurface:
@@ -348,30 +491,21 @@ def flat_disk(R: float, h: float) -> ConeSurface:
 
     cutoff = R - 0.95 * h
     n = int(R / h) + 2
-    pts = []
-    for j in range(-n, n + 1):
-        for i in range(-n, n + 1):
-            x = h * (i + 0.5 * j)
-            y = h * (math.sqrt(3.0) / 2.0) * j
-            if x * x + y * y <= cutoff * cutoff:
-                pts.append((x, y))
-    if not pts:
-        pts = [(0.0, 0.0)]
-    pts.sort(key=lambda p: (round(math.hypot(*p), 12), math.atan2(p[1], p[0])))
+    k = np.arange(-n, n + 1)
+    j, i = np.repeat(k, len(k)), np.tile(k, len(k))
+    x = h * (i + 0.5 * j)
+    y = h * (math.sqrt(3.0) / 2.0) * j
+    inside = x * x + y * y <= cutoff * cutoff
+    i, j, x, y = i[inside], j[inside], x[inside], y[inside]
+    # lattice points ring by ring (|p|^2 / h^2 = i^2 + i j + j^2), each ring by angle
+    order = np.lexsort((np.arctan2(y, x), i * i + i * j + j * j))
+    pts = np.c_[x, y][order] if len(order) else np.zeros((1, 2))
     m = max(8, round(2 * math.pi * R / h))
-    rim = [
-        (R * math.cos(2 * math.pi * k / m), R * math.sin(2 * math.pi * k / m))
-        for k in range(m)
-    ]
-    xy = np.asarray(pts + rim)
+    rim_angle = 2 * math.pi * np.arange(m) / m
+    xy = np.r_[pts, np.c_[R * np.cos(rim_angle), R * np.sin(rim_angle)]]
     faces = Delaunay(xy).simplices.astype(np.int64)
-    lengths = {}
-    for a, b, c in faces:
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = _canon(int(u), int(v))
-            if key not in lengths:
-                lengths[key] = float(np.linalg.norm(xy[u] - xy[v]))
-    return build_surface(faces, lengths, declared_k=0.0, embedding=xy, mesh_h=h)
+    return build_surface(faces, lambda u, v: np.linalg.norm(xy[u] - xy[v], axis=1),
+                         declared_k=0.0, embedding=xy, mesh_h=h)
 
 
 def cone_disk(theta: float, R: float, h: float) -> ConeSurface:
@@ -381,11 +515,16 @@ def cone_disk(theta: float, R: float, h: float) -> ConeSurface:
     if R <= 0 or h <= 0:
         raise DomainError(f"cone_disk needs R > 0 and h > 0, got R={R}, h={h}")
     radii, angles, faces = _polar_mesh(theta, R, h, 1.0)
-    lengths = _cone_edge_lengths(faces, radii, angles, theta)
-    # abstract cone coordinates (r, phi) kept for diagnostics only
-    coords = np.c_[radii, angles]
+
+    def lengths(u, v):
+        dphi = np.abs(angles[u] - angles[v])
+        dphi = np.minimum(dphi, theta - dphi)
+        r1, r2 = radii[u], radii[v]
+        return np.sqrt(np.maximum(r1 * r1 + r2 * r2 - 2 * r1 * r2 * np.cos(dphi), 0.0))
+
     surf = build_surface(faces, lengths, declared_k=0.0, mesh_h=h)
-    surf.cone_coords = coords
+    # abstract cone coordinates (r, phi) kept for diagnostics only
+    surf.cone_coords = np.c_[radii, angles]
     return surf
 
 
@@ -395,23 +534,17 @@ def flat_torus(L: float, h: float) -> ConeSurface:
         raise DomainError(f"flat_torus needs L > 0 and h > 0, got L={L}, h={h}")
     n = max(2, round(L / h))
     step = L / n
-    vid = lambda i, j: (i % n) * n + (j % n)
-    faces = []
-    lengths = {}
+    i, j = np.divmod(np.arange(n * n), n)
+    v00, v10 = i * n + j, (i + 1) % n * n + j
+    v01, v11 = i * n + (j + 1) % n, (i + 1) % n * n + (j + 1) % n
+    faces = np.stack([np.c_[v00, v10, v11], np.c_[v00, v11, v01]], axis=1).reshape(-1, 3)
     diag = math.sqrt(2.0) * step
-    for i in range(n):
-        for j in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            faces.append((v00, v10, v11))
-            faces.append((v00, v11, v01))
-            for (u, v), l in (((v00, v10), step), ((v00, v01), step),
-                              ((v00, v11), diag)):
-                lengths[_canon(u, v)] = l
-    coords = np.asarray([[ (v // n) * step, (v % n) * step] for v in range(n * n)])
-    surf = build_surface(np.asarray(faces), lengths, declared_k=0.0,
-                         embedding=coords, mesh_h=step)
-    return surf
+
+    def lengths(u, v):
+        return np.where((u // n != v // n) & (u % n != v % n), diag, step)
+
+    return build_surface(faces, lengths, declared_k=0.0,
+                         embedding=np.c_[i * step, j * step], mesh_h=step)
 
 
 _ICO_T = (1.0 + math.sqrt(5.0)) / 2.0
@@ -431,6 +564,10 @@ _ICO_FACES = [
 ]
 
 
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
 def icosphere(subdivisions: int) -> ConeSurface:
     """Subdivided icosahedron on the unit sphere with great-circle edge lengths.
 
@@ -439,38 +576,31 @@ def icosphere(subdivisions: int) -> ConeSurface:
     """
     if subdivisions < 0 or int(subdivisions) != subdivisions:
         raise DomainError(f"subdivisions must be a nonnegative integer, got {subdivisions}")
-    verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
-    faces = list(_ICO_FACES)
+    verts = _unit_rows(_ICO_VERTS)
+    faces = np.asarray(_ICO_FACES, dtype=np.int64)
     for _ in range(int(subdivisions)):
-        midpoint: dict[tuple[int, int], int] = {}
+        # one midpoint per edge, numbered in the order the sides
+        # (a, b), (b, c), (c, a) of the faces first reach the edge
+        u, v = faces.ravel(), faces[:, [1, 2, 0]].ravel()
+        _, first, inverse = np.unique(
+            _edge_keys(u, v, len(verts)), return_index=True, return_inverse=True
+        )
+        met = np.argsort(first)
+        rank = np.empty_like(met)
+        rank[met] = np.arange(len(met))
+        ab, bc, ca = (len(verts) + rank[inverse]).reshape(-1, 3).T
+        a, b, c = faces.T
+        verts = np.r_[verts, _unit_rows(verts[u[first[met]]] + verts[v[first[met]]])]
+        faces = np.stack(
+            [np.c_[a, ab, ca], np.c_[b, bc, ab], np.c_[c, ca, bc], np.c_[ab, bc, ca]],
+            axis=1,
+        ).reshape(-1, 3)
 
-        def mid(i, j):
-            key = _canon(i, j)
-            m = midpoint.get(key)
-            if m is None:
-                v = verts[i] + verts[j]
-                verts.append(v / np.linalg.norm(v))
-                m = len(verts) - 1
-                midpoint[key] = m
-            return m
+    def lengths(u, v):
+        dot = np.einsum("ij,ij->i", verts[u], verts[v])
+        return np.arccos(np.clip(dot, -1.0, 1.0))
 
-        nxt = []
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            nxt.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-        faces = nxt
-    verts = np.asarray(verts)
-    faces = np.asarray(faces, dtype=np.int64)
-    lengths = {}
-    for a, b, c in faces:
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = _canon(int(u), int(v))
-            if key not in lengths:
-                dot = float(np.clip(np.dot(verts[u], verts[v]), -1.0, 1.0))
-                lengths[key] = math.acos(dot)
-    mesh_h = float(np.mean(list(lengths.values())))
-    return build_surface(faces, lengths, declared_k=1.0, embedding=verts,
-                         mesh_h=mesh_h)
+    return build_surface(faces, lengths, declared_k=1.0, embedding=verts)
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +611,24 @@ def icosphere(subdivisions: int) -> ConeSurface:
 class _SteinerGraph:
     """Shortest-path graph: mesh vertices plus Steiner points on edges.
 
-    Steiner points subdivide each edge at spacing <= h; within every face
-    all node pairs on different sides are linked by their straight-line
-    chart distance.
+    Nodes.  Edge e = (i, j), i < j, of length L carries
+    m_e = max(0, ceil(L / h) - 1) Steiner points at fractions
+    k / (m_e + 1), k = 1..m_e, from i (computed as np.linspace does), so
+    consecutive nodes along an edge are at most h apart.  Vertices keep
+    their ids; the Steiner points of edge e get consecutive ids, in order
+    along the edge, after those of edges 0..e-1.  `steiner_edge` and
+    `steiner_frac` give the edge and the fraction of node V + k.
+
+    Arcs.  Consecutive nodes along each edge, weighted L / (m_e + 1), and
+    every pair of nodes on two different sides of a face, weighted by
+    their straight-line distance in the face chart.  A pair met more than
+    once (a side shared by two faces) keeps its shortest length.  Every
+    arc is a path on the surface, so graph distances bound geodesic
+    distances from above.
+
+    Build.  Faces are grouped by their triple of per-side node counts, so
+    each group's node positions and cross-side distances are broadcast
+    array operations.
     """
 
     def __init__(self, surf: ConeSurface, h: float):
@@ -492,72 +637,67 @@ class _SteinerGraph:
         self.surface = surf
         self.h = h
         V = surf.n_vertices
-        # per edge: list of node ids in order from endpoint min to max
-        self.edge_nodes: list[np.ndarray] = []
-        self.node_edge_frac: list[tuple[int, float]] = []  # for Steiner nodes only
-        next_id = V
-        rows, cols, vals = [], [], []
-        for e, (i, j) in enumerate(surf.edges):
-            L = surf.edge_lengths[e]
-            m = max(0, math.ceil(L / h) - 1)
-            ids = [int(i)] + list(range(next_id, next_id + m)) + [int(j)]
-            fr = np.linspace(0.0, 1.0, m + 2)
-            for t in fr[1:-1]:
-                self.node_edge_frac.append((e, float(t)))
-            next_id += m
-            self.edge_nodes.append(np.asarray(ids, dtype=np.int64))
-            seg = L / (m + 1)
-            for a, b in zip(ids[:-1], ids[1:]):
-                rows.append(a)
-                cols.append(b)
-                vals.append(seg)
-        self.n_nodes = next_id
+        edges, L = surf.edges, surf.edge_lengths
+        m = np.maximum(np.ceil(L / h).astype(np.int64) - 1, 0)
+        first = V + np.cumsum(m) - m  # id of each edge's first Steiner point
+        self.n_nodes = V + int(m.sum())
+        self.steiner_edge = np.repeat(np.arange(len(edges)), m)
+        node = np.arange(V, self.n_nodes)
+        k = node - first[self.steiner_edge] + 1
+        self.steiner_frac = k * (1.0 / (m + 1))[self.steiner_edge]
 
-        chunks_r = [np.asarray(rows, dtype=np.int64)]
-        chunks_c = [np.asarray(cols, dtype=np.int64)]
-        chunks_v = [np.asarray(vals, dtype=float)]
+        # along-edge segments: i -> first, ..., last -> j
+        seg = L / (m + 1)
+        prev = np.where(k == 1, edges[self.steiner_edge, 0], node - 1)
+        last = np.where(m > 0, first + m - 1, edges[:, 0])
+        chunks_r = [prev, last]
+        chunks_c = [node, edges[:, 1]]
+        chunks_v = [seg[self.steiner_edge], seg]
+
+        # per face side: its edge, node count, and the corners at the
+        # edge's smaller and larger endpoint
+        faces, fe = surf.faces, surf.face_edge
+        nxt = (np.arange(3) + 1) % 3
+        lo_first = faces[:, nxt] == edges[fe, 0]
+        lo_corner = np.where(lo_first, nxt, (nxt + 1) % 3)
+        hi_corner = np.where(lo_first, (nxt + 1) % 3, nxt)
+        side_nodes = m[fe] + 2
         charts = surf.charts()
-        for f in range(surf.n_faces):
-            loc = {int(surf.faces[f, t]): t for t in range(3)}
-            side_pts = []
+        _, group, sizes = np.unique(
+            side_nodes, axis=0, return_inverse=True, return_counts=True
+        )
+        by_group = np.split(np.argsort(group.ravel(), kind="stable"), np.cumsum(sizes)[:-1])
+        for fs in by_group:
+            ids, pts = [], []
             for s in range(3):
-                e = surf.face_edge[f, s]
-                i, j = surf.edges[e]
-                ids = self.edge_nodes[e]
-                fr = np.linspace(0.0, 1.0, len(ids))
-                pi = charts[f, loc[int(i)]]
-                pj = charts[f, loc[int(j)]]
-                pts = pi[None, :] + fr[:, None] * (pj - pi)[None, :]
-                side_pts.append((ids, pts))
-            for s in range(3):
-                ids_a, pts_a = side_pts[s]
-                for t in range(s + 1, 3):
-                    ids_b, pts_b = side_pts[t]
-                    d = np.linalg.norm(pts_a[:, None, :] - pts_b[None, :, :], axis=2)
-                    uu = np.broadcast_to(ids_a[:, None], d.shape).ravel()
-                    vv = np.broadcast_to(ids_b[None, :], d.shape).ravel()
-                    keep = uu != vv
-                    chunks_r.append(uu[keep])
-                    chunks_c.append(vv[keep])
-                    chunks_v.append(d.ravel()[keep])
+                n = int(side_nodes[fs[0], s])
+                e = fe[fs, s]
+                p = charts[fs, lo_corner[fs, s]]
+                q = charts[fs, hi_corner[fs, s]]
+                fr = np.linspace(0.0, 1.0, n)
+                pts.append(p[:, None, :] + fr[None, :, None] * (q - p)[:, None, :])
+                ids.append(np.c_[edges[e, 0], first[e][:, None] + np.arange(n - 2),
+                                 edges[e, 1]])
+            for s, t in ((0, 1), (0, 2), (1, 2)):
+                d = np.linalg.norm(pts[s][:, :, None, :] - pts[t][:, None, :, :], axis=3)
+                uu = np.broadcast_to(ids[s][:, :, None], d.shape).ravel()
+                vv = np.broadcast_to(ids[t][:, None, :], d.shape).ravel()
+                keep = uu != vv
+                chunks_r.append(uu[keep])
+                chunks_c.append(vv[keep])
+                chunks_v.append(d.ravel()[keep])
         # duplicates (shared face sides, repeated cross pairs): keep the minimum
         self.matrix = _min_coo(
             np.concatenate(chunks_r), np.concatenate(chunks_c),
             np.concatenate(chunks_v), self.n_nodes,
         )
-        if self.node_edge_frac:
-            self.steiner_edge = np.asarray([e for e, _ in self.node_edge_frac])
-            self.steiner_frac = np.asarray([t for _, t in self.node_edge_frac])
-        else:
-            self.steiner_edge = np.empty(0, dtype=np.int64)
-            self.steiner_frac = np.empty(0)
 
     def node_position(self, node: int):
         """(edge id, fraction) for a Steiner node, or None for a vertex."""
-        V = self.surface.n_vertices
-        if node < V:
+        k = node - self.surface.n_vertices
+        if k < 0:
             return None
-        return self.node_edge_frac[node - V]
+        return int(self.steiner_edge[k]), float(self.steiner_frac[k])
 
     def node_values(self, vertex_values: np.ndarray) -> np.ndarray:
         """PL interpolation of a vertex function onto all graph nodes."""
@@ -694,17 +834,7 @@ def trace_shortest_path(field: DistanceField, target: int):
 def path_values(surface: ConeSurface, graph_h: float, nodes: np.ndarray,
                 vertex_values: np.ndarray) -> np.ndarray:
     """Values of a PL vertex function at graph nodes along a traced path."""
-    g = surface.graph(graph_h)
-    V = surface.n_vertices
-    out = np.empty(len(nodes))
-    for i, node in enumerate(nodes):
-        if node < V:
-            out[i] = vertex_values[node]
-        else:
-            e, t = g.node_edge_frac[node - V]
-            a, b = surface.edges[e]
-            out[i] = (1 - t) * vertex_values[a] + t * vertex_values[b]
-    return out
+    return surface.graph(graph_h).node_values(vertex_values)[nodes]
 
 
 class _VertexFan:
@@ -718,54 +848,41 @@ class _VertexFan:
     def __init__(self, surf: ConeSurface, p: int):
         self.surface = surf
         self.p = p
-        incident = []  # (face, local index of p)
-        for f in range(surf.n_faces):
-            for t in range(3):
-                if surf.faces[f, t] == p:
-                    incident.append((f, t))
-        if not incident:
+        corners = surf.vertex_corners(p)
+        if len(corners) == 0:
             raise DomainError(f"vertex {p} has no incident faces")
-        # edges at p within face f: the two sides adjacent to corner t
-        # side s is opposite local vertex s, so sides at corner t are the
-        # other two side indices.
-        by_edge: dict[int, list[tuple[int, int]]] = {}
-        for f, t in incident:
-            for s in range(3):
-                if s != t:
-                    by_edge.setdefault(int(surf.face_edge[f, s]), []).append((f, t))
+        faces, corner = np.divmod(corners, 3)
+        # the two sides at corner t are the other two, in ascending order
+        other = np.sort([(corner + 1) % 3, (corner + 2) % 3], axis=0).T
+        sides = surf.face_edge[faces[:, None], other]
+        by_edge: dict[int, list[int]] = {}  # edge at p -> the corners on it
+        for k, pair in enumerate(sides.tolist()):
+            for e in pair:
+                by_edge.setdefault(e, []).append(k)
         # start at a boundary edge when p lies on the boundary
-        start_edge = None
-        for e, fs in by_edge.items():
-            if len(fs) == 1 and len(surf.edge_faces[e]) == 1:
-                start_edge = e
-        if start_edge is None:
-            start_edge = min(by_edge)
-        self.edge_angle: dict[int, float] = {}
+        boundary = [e for e in by_edge if surf.edge_faces[e, 1] < 0]
+        start_edge = boundary[-1] if boundary else min(by_edge)
+        self.edge_angle: dict[int, float] = {start_edge: 0.0}
         self.corner_base: dict[int, tuple[float, int]] = {}  # face -> (base angle, enter edge)
         used = set()
         cur_edge = start_edge
         acc = 0.0
-        self.edge_angle[cur_edge] = 0.0
+        # the corners at p form one fan (build_surface checks it), so the walk
+        # from corner to corner across shared edges visits them all
         while True:
-            nxt = None
-            for f, t in by_edge.get(cur_edge, ()):  # faces touching cur_edge at p
-                if f in used:
-                    continue
-                nxt = (f, t)
+            k = next((k for k in by_edge[cur_edge] if k not in used), None)
+            if k is None:
                 break
-            if nxt is None:
-                break
-            f, t = nxt
-            used.add(f)
+            used.add(k)
+            f = int(faces[k])
             self.corner_base[f] = (acc, cur_edge)
             # exit edge: the other side at the corner
-            sides = [int(surf.face_edge[f, s]) for s in range(3) if s != t]
-            exit_edge = sides[1] if sides[0] == cur_edge else sides[0]
-            acc += surf.corner_angle[f, t]
-            if exit_edge not in self.edge_angle:
-                self.edge_angle[exit_edge] = acc
+            a, b = sides[k]
+            exit_edge = int(b if a == cur_edge else a)
+            acc += surf.corner_angle[f, corner[k]]
+            self.edge_angle.setdefault(exit_edge, acc)
             cur_edge = exit_edge
-        self.total = acc if len(used) == len(incident) else surf.cone_angle[p]
+        self.total = acc
 
     def angle_of_segment(self, graph: _SteinerGraph, first_node: int) -> float:
         """Angular coordinate of the segment from p toward a graph node."""
@@ -774,20 +891,20 @@ class _VertexFan:
         pos = graph.node_position(first_node)
         if pos is None:
             # neighbor vertex: segment runs along a mesh edge
-            e = surf.edge_index[_canon(p, int(first_node))]
+            e = surf.edge_index[p, first_node]
             return self.edge_angle[e] % max(self.total, 1e-300)
         e, t = pos
         a, b = surf.edges[e]
         if a == p or b == p:
             return self.edge_angle[e] % max(self.total, 1e-300)
         # segment crosses a face: find the face containing both p and edge e
-        for f in surf.edge_faces[e]:
-            if p in surf.faces[f]:
-                break
-        else:
+        fs = surf.edge_faces[e]
+        fs = fs[(fs >= 0) & (surf.faces[fs] == p).any(axis=1)]
+        if len(fs) == 0:
             raise DomainError(
                 f"graph node {first_node} is not adjacent to vertex {p}"
             )
+        f = int(fs[0])
         charts = surf.charts()
         loc = {int(surf.faces[f, s]): s for s in range(3)}
         x = charts[f, loc[int(a)]] + t * (charts[f, loc[int(b)]] - charts[f, loc[int(a)]])
@@ -857,10 +974,6 @@ def ball_volume(space: ConeSurface, field: DistanceField, r: float) -> float:
     return float(np.sum(space.face_area * _sublevel_fraction(vals, r)))
 
 
-def ball_volume_profile(space: ConeSurface, field: DistanceField, radii):
-    return [(float(r), ball_volume(space, field, r)) for r in radii]
-
-
 # ---------------------------------------------------------------------------
 # mesh text format
 # ---------------------------------------------------------------------------
@@ -892,100 +1005,151 @@ def save_off(space: ConeSurface, path) -> None:
             fh.write(f"{i} {j} {space.edge_lengths[e]:.17g}\n")
 
 
+def _token_rows(rows, width: int, lead: str | None = None):
+    """Tokens, as one flat list, of the leading lines that have `width`
+    tokens (and first token `lead`), and the index of the first other line."""
+    tokens = list(map(str.split, rows))
+    ntok = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    n = _first(ntok != width) if np.any(ntok != width) else len(rows)
+    flat = list(chain.from_iterable(tokens[:n]))
+    if lead is not None and n:
+        other = np.asarray(flat[::width]) != lead
+        if other.any():
+            n = _first(other)
+    return flat[: n * width], n
+
+
+def _convert_rows(tokens, width: int, convert):
+    """convert() of the longest leading run of rows that converts, and its
+    row count."""
+    n = len(tokens) // width
+    try:
+        return convert(tokens), n
+    except ValueError:
+        pass
+    lo, hi = 0, n  # rows[:lo] convert, rows[:hi] do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            convert(tokens[: mid * width])
+            lo = mid
+        except ValueError:
+            hi = mid
+    return convert(tokens[: lo * width]), lo
+
+
+def _floats(tokens):
+    return np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+
+
+def _ints(tokens):
+    return np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
+
+
 def load_off(path, declared_k: float = 0.0) -> ConeSurface:
     """Parse the mesh text format; the optional #lengths trailer overrides
-    embedding distances.  Rejects NaN and nonpositive lengths."""
+    embedding distances.  Rejects NaN and nonpositive lengths.
+
+    Blank lines and lines starting with '#' are skipped, except the
+    '#lengths' marker.  Each block of lines is parsed as one array; an
+    error names the file and the first bad line.
+    """
     with open(path) as fh:
-        lines = fh.readlines()
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
 
     def fail(lineno, msg):
         raise MeshFormatError(f"{path}:{lineno}: {msg}")
 
-    idx = 0
+    text = np.array(list(map(str.strip, lines)), dtype=str)
+    content = (text != "") & (~np.char.startswith(text, "#") | (text == "#lengths"))
+    rows = text[content]
+    lineno = np.flatnonzero(content) + 1
 
-    def next_content():
-        nonlocal idx
-        while idx < len(lines):
-            raw = lines[idx]
-            idx += 1
-            stripped = raw.strip()
-            if stripped == "#lengths":
-                return idx, stripped
-            if not stripped or stripped.startswith("#"):
-                continue
-            return idx, stripped
-        return None, None
+    def block(start, count, width, convert, shape_msg, parse_msg, checks,
+              lead=None, missing_msg=None):
+        """Values of `count` content lines from content line `start`.
 
-    lineno, header = next_content()
-    if header != "OFF":
-        fail(lineno or 1, "expected OFF header")
-    lineno, counts = next_content()
-    if counts is None:
+        Fails at the first line with the wrong tokens, that `convert`
+        rejects or that a check flags.  A check is a function of the values
+        giving a mask of bad lines, with a message or a function of the
+        values and the line giving one.  Then fails if the file has fewer
+        lines.
+        """
+        nums = lineno[start : start + count]
+        tokens, n_shape = _token_rows(rows[start : start + count], width, lead)
+        values, n_parse = _convert_rows(tokens, width, convert)
+        masks = np.array([check(values) for check, _ in checks]).reshape(len(checks), -1)
+        if masks.any():
+            q = _first(masks.any(axis=0))
+            msg = checks[_first(masks[:, q])][1]
+            fail(nums[q], msg(values, q) if callable(msg) else msg)
+        if n_parse < n_shape:
+            fail(nums[n_parse], parse_msg)
+        if n_shape < len(nums):
+            fail(nums[n_shape], shape_msg)
+        if len(nums) < count:
+            fail(len(lines), missing_msg)
+        return values
+
+    if len(rows) == 0 or rows[0] != "OFF":
+        fail(lineno[0] if len(rows) else 1, "expected OFF header")
+    if len(rows) < 2:
         fail(len(lines), "missing counts line")
-    parts = counts.split()
+    parts = rows[1].split()
     if len(parts) != 3:
-        fail(lineno, "counts line must be 'V F 0'")
+        fail(lineno[1], "counts line must be 'V F 0'")
     try:
         nv, nf = int(parts[0]), int(parts[1])
     except ValueError:
-        fail(lineno, "counts must be integers")
-    coords = np.empty((nv, 3))
-    for v in range(nv):
-        lineno, row = next_content()
-        if row is None:
-            fail(len(lines), f"expected {nv} vertex lines")
-        vals = row.split()
-        if len(vals) != 3:
-            fail(lineno, "vertex line must have 3 coordinates")
-        try:
-            coords[v] = [float(x) for x in vals]
-        except ValueError:
-            fail(lineno, "bad vertex coordinate")
-        if not np.all(np.isfinite(coords[v])):
-            fail(lineno, "vertex coordinate is not finite")
-    faces = np.empty((nf, 3), dtype=np.int64)
-    for f in range(nf):
-        lineno, row = next_content()
-        if row is None:
-            fail(len(lines), f"expected {nf} face lines")
-        vals = row.split()
-        if len(vals) != 4 or vals[0] != "3":
-            fail(lineno, "face line must be '3 i j k'")
-        try:
-            faces[f] = [int(x) for x in vals[1:]]
-        except ValueError:
-            fail(lineno, "bad face index")
-        if np.any(faces[f] < 0) or np.any(faces[f] >= nv):
-            fail(lineno, "face index out of range")
-    overrides = []
-    lineno, row = next_content()
-    if row == "#lengths":
-        while True:
-            lineno, row = next_content()
-            if row is None:
-                break
-            vals = row.split()
-            if len(vals) != 3:
-                fail(lineno, "length line must be 'i j L'")
-            try:
-                i, j, L = int(vals[0]), int(vals[1]), float(vals[2])
-            except ValueError:
-                fail(lineno, "bad length record")
-            if math.isnan(L) or L <= 0:
-                fail(lineno, f"invalid edge length {L}")
-            if not 0 <= i < nv or not 0 <= j < nv:
-                fail(lineno, "length record index out of range")
-            overrides.append((i, j, L))
-    elif row is not None:
-        fail(lineno, f"unexpected trailing content: {row!r}")
+        fail(lineno[1], "counts must be integers")
+    if nv < 0 or nf < 0:
+        fail(lineno[1], "counts must be nonnegative")
 
-    table: dict[tuple[int, int], float] = {}
-    for a, b, c in faces:
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = _canon(int(u), int(v))
-            if key not in table:
-                table[key] = float(np.linalg.norm(coords[u] - coords[v]))
-    for i, j, L in overrides:
-        table[_canon(i, j)] = L
+    coords = block(
+        2, nv, 3, lambda t: _floats(t).reshape(-1, 3),
+        "vertex line must have 3 coordinates", "bad vertex coordinate",
+        [(lambda x: ~np.isfinite(x).all(axis=1), "vertex coordinate is not finite")],
+        missing_msg=f"expected {nv} vertex lines",
+    )
+    faces = block(
+        2 + nv, nf, 4, lambda t: _ints(t).reshape(-1, 4)[:, 1:],
+        "face line must be '3 i j k'", "bad face index",
+        [(lambda f: ((f < 0) | (f >= nv)).any(axis=1), "face index out of range")],
+        lead="3", missing_msg=f"expected {nf} face lines",
+    )
+
+    start = 2 + nv + nf
+    o_ij, o_len, o_line = np.empty((0, 2), dtype=np.int64), np.empty(0), lineno[:0]
+    if start < len(rows) and rows[start] == "#lengths":
+        o_ij, o_len = block(
+            start + 1, len(rows) - start - 1, 3,
+            lambda t: (np.c_[_ints(t[0::3]), _ints(t[1::3])], _floats(t[2::3])),
+            "length line must be 'i j L'", "bad length record",
+            [(lambda r: np.isnan(r[1]) | (r[1] <= 0),
+              lambda r, q: f"invalid edge length {r[1][q]}"),
+             (lambda r: ((r[0] < 0) | (r[0] >= nv)).any(axis=1),
+              "length record index out of range")],
+        )
+        o_line = lineno[start + 1 :]
+    elif start < len(rows):
+        fail(lineno[start], f"unexpected trailing content: {str(rows[start])!r}")
+
+    o_keys = _edge_keys(o_ij[:, 0], o_ij[:, 1], nv)
+    # the last record of a pair wins
+    _, rev = np.unique(o_keys[::-1], return_index=True)
+    last = len(o_keys) - 1 - rev
+
+    def lengths(u, v):
+        out = np.linalg.norm(coords[u] - coords[v], axis=1)
+        if len(o_keys):
+            # build_surface lists edges sorted by (min, max), so their keys ascend
+            pos, found = _find(_edge_keys(u, v, nv), o_keys)
+            if not found.all():
+                fail(o_line[_first(~found)], "length record names no face edge")
+            out[pos[last]] = o_len[last]
+        return out
+
     embedding = coords if np.any(coords) else None
-    return build_surface(faces, table, declared_k=declared_k, embedding=embedding)
+    return build_surface(faces, lengths, declared_k=declared_k, embedding=embedding)

@@ -177,6 +177,18 @@ def test_comparison_angle_errors():
         comparison_angle(0.0, 1.0, 0.0, 1.0)
 
 
+def test_comparison_angle_allows_rounding_excess_only():
+    # graph distances from three Dijkstra sweeps: s2 - s1 exceeds opp by
+    # 1.1e-15, five ulps of the largest side
+    opp, s1, s2 = 0.8939614247919471, 0.9069807123959728, 1.800942137187921
+    assert s2 - s1 > opp
+    assert comparison_angle(0.0, opp, s1, s2) == pytest.approx(0.0, abs=1e-6)
+    with pytest.raises(TriangleInequalityError):
+        comparison_angle(0.0, s2 - s1 - 1e-9, s1, s2)
+    with pytest.raises(TriangleInequalityError):
+        comparison_angle(0.0, s1 + s2 + 1e-9, s1, s2)
+
+
 @given(
     st.floats(min_value=0.2, max_value=1.2),
     st.floats(min_value=0.2, max_value=1.2),

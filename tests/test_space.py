@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from alexlab.exceptions import (
     DisconnectedError,
@@ -26,6 +27,7 @@ from alexlab.space import (
     save_off,
     toponogov_check,
     trace_shortest_path,
+    _min_coo,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -351,3 +353,188 @@ def test_unreachable_error():
         # out-of-range vertex id handled upstream; emulate unreachable via inf
         fld.node_dist[1] = np.inf
         fld.distance_to(1)
+
+
+def test_edge_lengths_for_pairs_that_are_no_face_side_are_rejected():
+    lengths = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0, (0, 3): 1.0}
+    with pytest.raises(DomainError, match="not a side of any face"):
+        build_surface([(0, 1, 2)], lengths)
+
+
+def unit_edges(faces):
+    return {tuple(sorted((f[k], f[(k + 1) % 3]))): 1.0 for f in faces for k in range(3)}
+
+
+def test_build_surface_rejects_pinched_vertex():
+    # a strip of four unit equilateral triangles whose two ends share
+    # vertex 0: the faces stay edge-connected, the corners at 0 form two fans
+    faces = [(0, 1, 3), (1, 4, 3), (1, 2, 4), (2, 0, 4)]
+    with pytest.raises(InconsistentGluingError, match="vertex 0 is pinched"):
+        build_surface(faces, unit_edges(faces))
+    # the same strip with distinct end vertices is a valid disk
+    faces[-1] = (2, 5, 4)
+    assert build_surface(faces, unit_edges(faces)).boundary_vertex.all()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: flat_disk(1.0, 0.2),
+    lambda: cone_disk(3 * math.pi / 2, 1.0, 0.2),
+])
+def test_boundary_vertices_have_two_boundary_edges(make):
+    surf = make()
+    ends = np.bincount(surf.edges[surf.boundary_edges].ravel(), minlength=surf.n_vertices)
+    assert np.all(ends[surf.boundary_vertex] == 2)
+    assert np.all(ends[~surf.boundary_vertex] == 0)
+
+
+def test_off_reports_line_of_face_with_wrong_token_count(tmp_path):
+    path = tmp_path / "short.off"
+    path.write_text(
+        "OFF\n# four corners\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n\n"
+        "3 0 1 2\n3 0 2\n"
+    )
+    with pytest.raises(MeshFormatError, match=r"short\.off:10: face line must be '3 i j k'"):
+        load_off(path)
+
+
+def test_off_reports_first_bad_line(tmp_path):
+    path = tmp_path / "bad.off"
+    path.write_text(
+        "OFF\n3 2 0\n0 0 0\n1 0 0\n0 x 0\n3 0 1 2\n3 0 1\n"
+    )
+    with pytest.raises(MeshFormatError, match=r"bad\.off:5: bad vertex coordinate"):
+        load_off(path)
+    path.write_text(
+        "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n3 0 1\n"
+    )
+    with pytest.raises(MeshFormatError, match=r"bad\.off:6: face index out of range"):
+        load_off(path)
+
+
+def test_off_rejects_length_record_for_a_non_edge(tmp_path):
+    path = tmp_path / "tri.off"
+    path.write_text(
+        "OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n3 0 1 2\n"
+        "#lengths\n0 1 1.5\n0 3 1.0\n"
+    )
+    with pytest.raises(MeshFormatError, match=r"tri\.off:10: length record names no face edge"):
+        load_off(path)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the array Steiner build against the loop build
+# ---------------------------------------------------------------------------
+
+
+def loop_steiner_graph(surf, h):
+    """Reference Steiner build: one edge, then one face side pair at a time.
+
+    Returns (matrix, node count, (edge, index along edge) of each Steiner node).
+    """
+    V = surf.n_vertices
+    edge_nodes, steiner = [], []
+    next_id = V
+    rows, cols, vals = [], [], []
+    for e, (i, j) in enumerate(surf.edges):
+        L = surf.edge_lengths[e]
+        m = max(0, math.ceil(L / h) - 1)
+        ids = [int(i)] + list(range(next_id, next_id + m)) + [int(j)]
+        steiner += [(e, k) for k in range(1, m + 1)]
+        next_id += m
+        edge_nodes.append(np.asarray(ids, dtype=np.int64))
+        seg = L / (m + 1)
+        for a, b in zip(ids[:-1], ids[1:]):
+            rows.append(a)
+            cols.append(b)
+            vals.append(seg)
+    chunks_r = [np.asarray(rows, dtype=np.int64)]
+    chunks_c = [np.asarray(cols, dtype=np.int64)]
+    chunks_v = [np.asarray(vals, dtype=float)]
+    charts = surf.charts()
+    for f in range(surf.n_faces):
+        loc = {int(surf.faces[f, t]): t for t in range(3)}
+        side_pts = []
+        for s in range(3):
+            e = surf.face_edge[f, s]
+            i, j = surf.edges[e]
+            ids = edge_nodes[e]
+            fr = np.linspace(0.0, 1.0, len(ids))
+            pi = charts[f, loc[int(i)]]
+            pj = charts[f, loc[int(j)]]
+            side_pts.append((ids, pi[None, :] + fr[:, None] * (pj - pi)[None, :]))
+        for s in range(3):
+            ids_a, pts_a = side_pts[s]
+            for t in range(s + 1, 3):
+                ids_b, pts_b = side_pts[t]
+                d = np.linalg.norm(pts_a[:, None, :] - pts_b[None, :, :], axis=2)
+                uu = np.broadcast_to(ids_a[:, None], d.shape).ravel()
+                vv = np.broadcast_to(ids_b[None, :], d.shape).ravel()
+                keep = uu != vv
+                chunks_r.append(uu[keep])
+                chunks_c.append(vv[keep])
+                chunks_v.append(d.ravel()[keep])
+    matrix = _min_coo(np.concatenate(chunks_r), np.concatenate(chunks_c),
+                      np.concatenate(chunks_v), next_id)
+    return matrix, next_id, np.asarray(steiner, dtype=np.int64).reshape(-1, 2)
+
+
+def node_labels(surf, steiner):
+    """Key of each node: its vertex id, or (edge endpoints, index along edge)."""
+    V = surf.n_vertices
+    e, k = steiner[:, 0], steiner[:, 1]
+    i, j = surf.edges[e, 0], surf.edges[e, 1]
+    return np.r_[np.arange(V), V + ((i * V + j) * (steiner[:, 1].max(initial=0) + 1) + k)]
+
+
+def irregular_off_mesh(tmp_path):
+    from scipy.spatial import Delaunay
+
+    rng = np.random.default_rng(7)
+    g = np.linspace(0.0, 1.0, 6)
+    xy = np.c_[np.repeat(g, 6), np.tile(g, 6)]
+    xy[(xy > 0) & (xy < 1)] += rng.uniform(-0.06, 0.06, size=((xy > 0) & (xy < 1)).sum())
+    faces = Delaunay(xy).simplices
+    lines = ["OFF", f"{len(xy)} {len(faces)} 0"]
+    lines += [f"{x:.17g} {y:.17g} 0" for x, y in xy]
+    lines += [f"3 {a} {b} {c}" for a, b, c in faces]
+    path = tmp_path / "irregular.off"
+    path.write_text("\n".join(lines) + "\n")
+    return load_off(path)
+
+
+DIFFERENTIAL_MESHES = {
+    "flat_disk": lambda tmp: flat_disk(1.0, 0.25),
+    "cone_disk": lambda tmp: cone_disk(2 * math.pi + 1.2, 1.0, 0.25),
+    "flat_torus": lambda tmp: flat_torus(1.0, 1 / 6),
+    "icosphere": lambda tmp: icosphere(1),
+    "load_off": irregular_off_mesh,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_MESHES))
+@pytest.mark.parametrize("spacing", [0.3, 0.9])
+def test_steiner_graph_matches_loop_reference(name, spacing, tmp_path):
+    surf = DIFFERENTIAL_MESHES[name](tmp_path)
+    h = spacing * surf.mesh_h
+    ref, n_ref, steiner_ref = loop_steiner_graph(surf, h)
+    g = surf.graph(h)
+    assert g.n_nodes == n_ref
+    # relabel both graphs' Steiner ids by (edge endpoints, index along edge)
+    V = surf.n_vertices
+    first = np.r_[V, V + np.cumsum(np.bincount(g.steiner_edge, minlength=len(surf.edges)))]
+    along = np.arange(V, g.n_nodes) - first[g.steiner_edge] + 1
+    new_labels = node_labels(surf, np.c_[g.steiner_edge, along])
+    ref_labels = node_labels(surf, steiner_ref)
+    assert np.array_equal(np.sort(new_labels), np.sort(ref_labels))
+    to_new = np.empty(n_ref, dtype=np.int64)
+    to_new[np.argsort(ref_labels)] = np.argsort(new_labels)
+    coo_ref, coo_new = ref.tocoo(), g.matrix.tocoo()
+    r, c = to_new[coo_ref.row], to_new[coo_ref.col]
+    o_ref = np.lexsort((c, r))
+    o_new = np.lexsort((coo_new.col, coo_new.row))
+    assert np.array_equal(r[o_ref], coo_new.row[o_new])
+    assert np.array_equal(c[o_ref], coo_new.col[o_new])
+    assert np.array_equal(coo_ref.data[o_ref], coo_new.data[o_new])  # bit for bit
+    d_ref = csgraph.dijkstra(ref, directed=False, indices=np.arange(V))[:, :V]
+    d_new = csgraph.dijkstra(g.matrix, directed=False, indices=np.arange(V))[:, :V]
+    assert np.array_equal(d_ref, d_new)
