@@ -1,10 +1,12 @@
 """Hopf-Lax infimal convolution Q_t u and its audits.
 
-Q_t u(x) = min over nodes y of u(y) + d(x, y)^2 / (2t), with d the
-Steiner-graph distance.  The minimum is pruned to the ball
+Q_t u(x) = min over vertices y of u(y) + d(x, y)^2 / (2t), with d the
+Steiner-graph distance.  The minimum is pruned per source x to the ball
 d <= sqrt(2 t (u(x) - min u)): any y improving on the y = x candidate
 satisfies d^2 <= 2t (u(x) - u(y)), so this ball contains every minimizer
-and the pruned value equals the min over the larger sqrt(4 t osc u) ball.
+and the pruned value equals the min over any larger ball.  Hence the
+distance ball that `DistanceCache` keeps for x serves every smaller t,
+and every later call whose radius at x it covers, without a new sweep.
 """
 
 from __future__ import annotations
@@ -31,18 +33,21 @@ class HopfLaxResult:
     values: np.ndarray
     foot: np.ndarray        # vertex id of the minimizer, smallest id on ties
     foot_dist: np.ndarray   # graph distance to the foot point
-    prune_radius: float     # largest per-node pruning radius used
+    prune_radius: float     # largest per-source pruning radius, sqrt(2t osc u) + pad
 
     def as_plfunction(self) -> PLFunction:
         return PLFunction(self.surface, self.values)
 
 
 def hopf_lax(space: ConeSurface, cache: DistanceCache, u: PLFunction,
-             t: float, chunk: int = 256) -> HopfLaxResult:
+             t: float) -> HopfLaxResult:
     """Evaluate Q_t u at every vertex.
 
-    Sources are processed in descending-u chunks so each dijkstra sweep
-    uses the tightest admissible pruning radius for its chunk.
+    Each source x reads its distance ball of radius
+    sqrt(2t (u(x) - min u)) + PRUNE_PAD from `cache`, which sweeps only
+    the sources whose stored ball is smaller.  Q_t u(x) is the minimum of
+    u(y) + d^2/(2t) over the ball's row; the foot is the first column
+    attaining it, which is the smallest vertex id since rows ascend.
     """
     _check_host(space, u)
     if t <= 0:
@@ -53,30 +58,30 @@ def hopf_lax(space: ConeSurface, cache: DistanceCache, u: PLFunction,
     values = np.empty(V)
     foot = np.empty(V, dtype=np.int64)
     fdist = np.empty(V)
-    order = np.argsort(-uv, kind="stable")
-    max_radius = 0.0
-    for lo in range(0, V, chunk):
-        idx = order[lo : lo + chunk]
-        radius = math.sqrt(max(2.0 * t * (float(uv[idx[0]]) - umin), 0.0)) + PRUNE_PAD
-        max_radius = max(max_radius, radius)
-        d = cache.vertex_block(idx, limit=radius)
-        cand = uv[None, :] + d * d / (2.0 * t)
-        best = np.argmin(cand, axis=1)
-        rows = np.arange(len(idx))
-        values[idx] = cand[rows, best]
-        foot[idx] = best
-        fdist[idx] = d[rows, best]
-    return HopfLaxResult(space, t, values, foot, fdist, max_radius)
+    radii = np.sqrt(np.maximum(2.0 * t * (uv - umin), 0.0)) + PRUNE_PAD
+    for idx, ptr, ids, d in cache.ball_chunks(np.arange(V), radii):
+        cand = uv[ids] + d * d / (2.0 * t)
+        best = np.minimum.reduceat(cand, ptr[:-1])
+        at_best = cand == np.repeat(best, np.diff(ptr))
+        first = np.minimum.reduceat(
+            np.where(at_best, np.arange(len(cand)), len(cand)), ptr[:-1]
+        )
+        values[idx] = best
+        foot[idx] = ids[first]
+        fdist[idx] = d[first]
+    return HopfLaxResult(space, t, values, foot, fdist, float(radii.max()))
 
 
 def interior_margin_mask(space: ConeSurface, cache: DistanceCache,
                          margin: float) -> np.ndarray:
     """Vertices farther than `margin` from the surface boundary."""
+    inner = np.ones(space.n_vertices, dtype=bool)
     if space.is_closed:
-        return np.ones(space.n_vertices, dtype=bool)
+        return inner
     bvs = np.flatnonzero(space.boundary_vertex)
-    d = cache.vertex_block(bvs, limit=margin * 1.001).min(axis=0)
-    return d > margin
+    for _, _, ids, d in cache.ball_chunks(bvs, margin):
+        inner[ids[d <= margin]] = False
+    return inner
 
 
 def semigroup_audit(space: ConeSurface, cache: DistanceCache, u: PLFunction,
@@ -91,7 +96,8 @@ def semigroup_audit(space: ConeSurface, cache: DistanceCache, u: PLFunction,
     t_grid = sorted(float(t) for t in t_grid)
     if not t_grid or t_grid[0] <= 0:
         raise DomainError("t grid must be positive and nonempty")
-    results = {t: hopf_lax(space, cache, u, t) for t in t_grid}
+    # largest t first: its balls cover every smaller t's
+    results = {t: hopf_lax(space, cache, u, t) for t in reversed(t_grid)}
     lip_u = lip_field(space, u).max()
     margin = t_grid[-1] * lip_u + 3 * space.mesh_h
     inner = interior_margin_mask(space, cache, margin)

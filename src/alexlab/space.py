@@ -43,6 +43,15 @@ SINGULAR_ANGLE_TOL = 1e-9
 # item 4).
 DISTANCE_ERROR_FACTOR = 2.0
 
+# DistanceCache keeps at most this many bytes of truncated distance balls;
+# a ball beyond it serves the request that swept it and is then dropped.
+# Unbounded, the balls of a 21.6k-vertex disk at radius 0.9 take ~3 GB.
+BALL_CACHE_BYTES = 256 * 2**20
+
+# Sources per ball sweep and per chunk handed to the caller: a chunk's
+# dense sweep block is BALL_CHUNK x V floats.
+BALL_CHUNK = 256
+
 
 def _first(mask) -> int:
     """Index of the first True entry of a boolean array that has one."""
@@ -532,7 +541,10 @@ def flat_torus(L: float, h: float) -> ConeSurface:
     """Square flat torus of side L on an n x n grid, n = round(L/h)."""
     if L <= 0 or h <= 0:
         raise DomainError(f"flat_torus needs L > 0 and h > 0, got L={L}, h={h}")
-    n = max(2, round(L / h))
+    n = round(L / h)
+    if n < 3:
+        # a 2 x 2 grid puts some edges on three faces: not a surface
+        raise DomainError(f"flat_torus needs round(L/h) >= 3, got L={L}, h={h}")
     step = L / n
     i, j = np.divmod(np.arange(n * n), n)
     v00, v10 = i * n + j, (i + 1) % n * n + j
@@ -777,12 +789,31 @@ def distance_field(space: ConeSurface, source: int, h: float) -> DistanceField:
 
 
 class DistanceCache:
-    """Shared Steiner graph plus memoized per-source distance fields."""
+    """Distances on the Steiner graph of one surface at spacing h, memoized.
+
+    It holds two kinds of entry:
+
+    - full distance fields with predecessors, per source (:meth:`field`);
+    - one truncated distance ball per source vertex (:meth:`ball_chunks`):
+      the ascending ids of the vertices within the ball's covered radius
+      and their float64 graph distances.
+
+    A ball request for a radius at most the covered one runs no sweep; a
+    larger radius sweeps that source again and replaces its ball.  Stored
+    balls take at most ``BALL_CACHE_BYTES`` (``ball_bytes`` counts them);
+    a ball that would exceed the cap is used by the request that swept it
+    and then dropped.
+    """
 
     def __init__(self, space: ConeSurface, h: float):
         self.space = space
         self.h = float(h)
         self._fields: dict[int, DistanceField] = {}
+        V = space.n_vertices
+        self._covered = np.full(V, -np.inf)  # radius each stored ball covers
+        self._ball_ids: list[np.ndarray | None] = [None] * V
+        self._ball_dist: list[np.ndarray | None] = [None] * V
+        self.ball_bytes = 0
 
     def field(self, source: int) -> DistanceField:
         fld = self._fields.get(source)
@@ -806,6 +837,48 @@ class DistanceCache:
             d = csgraph.dijkstra(g.matrix, directed=False, indices=idx, limit=limit)
             out[lo : lo + step] = d[:, :V]
         return out
+
+    def ball_chunks(self, sources, radii):
+        """Distance balls of `sources`, in chunks of descending radius.
+
+        `radii` is one radius per source, or one for all.  Yields
+        ``(idx, ptr, ids, dist)`` per chunk of at most ``BALL_CHUNK``
+        sources: row k belongs to source ``idx[k]`` and is
+        ``ids[ptr[k]:ptr[k+1]]`` (ascending vertex ids) with graph
+        distances ``dist[ptr[k]:ptr[k+1]]``.  A row holds every vertex
+        within the requested radius of its source, and may hold vertices
+        farther out, up to the radius its stored ball covers.  The sources
+        of a chunk whose balls are missing or too small are swept together
+        by one :meth:`vertex_block` call.
+        """
+        sources = np.asarray(sources, dtype=np.int64)
+        radii = np.broadcast_to(np.asarray(radii, dtype=float), sources.shape)
+        order = np.argsort(-radii, kind="stable")
+        for lo in range(0, len(order), BALL_CHUNK):
+            pick = order[lo : lo + BALL_CHUNK]
+            idx, r = sources[pick], radii[pick]
+            ids = [self._ball_ids[s] for s in idx]
+            dist = [self._ball_dist[s] for s in idx]
+            miss = np.flatnonzero(self._covered[idx] < r)
+            if len(miss):
+                block = self.vertex_block(idx[miss], limit=float(r[miss].max()))
+                for k, row in zip(miss, block):
+                    keep = np.flatnonzero(row <= r[k])
+                    ids[k], dist[k] = keep.astype(np.int32), row[keep]
+                    self._store(int(idx[k]), float(r[k]), ids[k], dist[k])
+            ptr = np.zeros(len(idx) + 1, dtype=np.int64)
+            np.cumsum([len(a) for a in ids], out=ptr[1:])
+            yield idx, ptr, np.concatenate(ids), np.concatenate(dist)
+
+    def _store(self, source: int, radius: float, ids, dist) -> None:
+        """Keep a swept ball in place of the stored one, within the byte cap."""
+        old = self._ball_ids[source]
+        freed = 0 if old is None else old.nbytes + self._ball_dist[source].nbytes
+        grown = self.ball_bytes - freed + ids.nbytes + dist.nbytes
+        if grown <= BALL_CACHE_BYTES:
+            self._ball_ids[source], self._ball_dist[source] = ids, dist
+            self._covered[source] = radius
+            self.ball_bytes = grown
 
 
 def trace_shortest_path(field: DistanceField, target: int):

@@ -5,13 +5,24 @@ import pytest
 
 from alexlab.calculus import PLFunction
 from alexlab.exceptions import DomainError
+from alexlab import space as space_mod
 from alexlab.hopflax import (
+    PRUNE_PAD,
     descent_slope_field,
     footpoint_audit,
     hopf_lax,
+    interior_margin_mask,
     semigroup_audit,
 )
-from alexlab.space import DistanceCache, distance_field, flat_disk, path_values, trace_shortest_path
+from alexlab.space import (
+    DistanceCache,
+    cone_disk,
+    distance_field,
+    flat_disk,
+    flat_torus,
+    path_values,
+    trace_shortest_path,
+)
 
 RNG = np.random.default_rng(11)
 
@@ -208,3 +219,144 @@ def test_descent_slope_field(disk):
     desc = descent_slope_field(disk, u)
     assert desc.max() <= 1.0 + 1e-9
     assert desc[0] == 0.0  # the source only goes up
+
+
+# -- reference: dense (chunk x V) sweeps per call, as before the ball cache --
+
+
+def dense_hopf_lax(space, cache, u, t, chunk=256):
+    """Q_t u from dense vertex blocks: (values, foot, foot_dist, prune_radius)."""
+    uv = u.values
+    umin = float(uv.min())
+    V = space.n_vertices
+    values = np.empty(V)
+    foot = np.empty(V, dtype=np.int64)
+    fdist = np.empty(V)
+    order = np.argsort(-uv, kind="stable")
+    max_radius = 0.0
+    for lo in range(0, V, chunk):
+        idx = order[lo : lo + chunk]
+        radius = math.sqrt(max(2.0 * t * (float(uv[idx[0]]) - umin), 0.0)) + PRUNE_PAD
+        max_radius = max(max_radius, radius)
+        d = cache.vertex_block(idx, limit=radius)
+        cand = uv[None, :] + d * d / (2.0 * t)
+        best = np.argmin(cand, axis=1)
+        rows = np.arange(len(idx))
+        values[idx] = cand[rows, best]
+        foot[idx] = best
+        fdist[idx] = d[rows, best]
+    return values, foot, fdist, max_radius
+
+
+def dense_margin_mask(space, cache, margin):
+    if space.is_closed:
+        return np.ones(space.n_vertices, dtype=bool)
+    bvs = np.flatnonzero(space.boundary_vertex)
+    d = cache.vertex_block(bvs, limit=margin * 1.001).min(axis=0)
+    return d > margin
+
+
+def _chart(space):
+    """Planar coordinates: the embedding, or the unrolled cone chart."""
+    if space.embedding is not None:
+        return space.embedding
+    r, phi = space.cone_coords.T
+    return np.c_[r * np.cos(phi), r * np.sin(phi)]
+
+
+def _data(space):
+    xy = _chart(space)
+    rng = np.random.default_rng(5)
+    return {
+        "linear": 1.0 + xy @ [0.8, -0.3],
+        "quadratic": 0.7 * np.sum(xy**2, axis=1) / 2,
+        "distance": distance_field(space, space.n_vertices // 3, space.mesh_h).vertex_dist.copy(),
+        "normal": rng.normal(size=space.n_vertices),
+        "constant": np.full(space.n_vertices, 1.5),
+    }
+
+
+def _assert_same(space, cache, u, t):
+    got = hopf_lax(space, cache, u, t)
+    values, foot, fdist, radius = dense_hopf_lax(space, cache, u, t)
+    assert np.array_equal(got.values, values)
+    assert np.array_equal(got.foot, foot)
+    assert np.array_equal(got.foot_dist, fdist)
+    assert got.prune_radius == radius
+    return got
+
+
+DIFF_MESHES = {
+    "flat_disk": lambda: flat_disk(1.0, 0.1),
+    "cone_below_2pi": lambda: cone_disk(1.7, 1.0, 0.1),
+    "cone_above_2pi": lambda: cone_disk(5.0, 1.0, 0.1),
+    "flat_torus": lambda: flat_torus(1.0, 1 / 8),
+}
+
+
+@pytest.mark.parametrize("mesh", sorted(DIFF_MESHES))
+def test_ball_cache_matches_dense_blocks(mesh):
+    space = DIFF_MESHES[mesh]()
+    cache = DistanceCache(space, space.mesh_h)
+    orders = {
+        "ascending": (0.05, 0.1, 0.2),
+        "descending": (0.3, 0.15, 0.05),
+        "repeated": (0.1, 0.1),
+    }
+    for name, vals in _data(space).items():
+        u = PLFunction(space, vals)
+        for ts in orders.values():
+            for t in ts:
+                res = _assert_same(space, cache, u, t)
+                if name == "constant":
+                    assert np.array_equal(res.foot, np.arange(space.n_vertices))
+        for margin in (0.0, 0.05, 0.15, 0.3, 0.6):
+            assert np.array_equal(interior_margin_mask(space, cache, margin),
+                                  dense_margin_mask(space, cache, margin))
+
+
+def _count_sweeps(monkeypatch):
+    calls = []
+    sweep = DistanceCache.vertex_block
+
+    def counted(self, sources, *args, **kwargs):
+        calls.append(len(sources))
+        return sweep(self, sources, *args, **kwargs)
+
+    monkeypatch.setattr(DistanceCache, "vertex_block", counted)
+    return calls
+
+
+def test_ball_cache_serves_smaller_t_without_sweeps(monkeypatch, disk):
+    calls = _count_sweeps(monkeypatch)
+    cache = DistanceCache(disk, disk.mesh_h)
+    u = PLFunction(disk, RNG.normal(size=disk.n_vertices))
+    hopf_lax(disk, cache, u, 0.2)
+    interior_margin_mask(disk, cache, 0.3)
+    assert calls
+    calls.clear()
+    for t in (0.2, 0.1, 0.05, 0.2):
+        hopf_lax(disk, cache, u, t)
+    interior_margin_mask(disk, cache, 0.3)
+    interior_margin_mask(disk, cache, 0.1)
+    assert calls == []
+    hopf_lax(disk, cache, u, 0.4)  # a larger t needs larger balls
+    assert calls
+
+
+def test_ball_cache_byte_cap(monkeypatch, disk):
+    budget = 40_000
+    monkeypatch.setattr(space_mod, "BALL_CACHE_BYTES", budget)
+    capped = DistanceCache(disk, disk.mesh_h)
+    full = DistanceCache(disk, disk.mesh_h)
+    u = PLFunction(disk, RNG.normal(size=disk.n_vertices))
+    for t in (0.2, 0.05, 0.3, 0.2):
+        a = hopf_lax(disk, capped, u, t)
+        b = dense_hopf_lax(disk, full, u, t)
+        assert np.array_equal(a.values, b[0])
+        assert np.array_equal(a.foot, b[1])
+        assert np.array_equal(a.foot_dist, b[2])
+        assert 0 < capped.ball_bytes <= budget
+        mask = interior_margin_mask(disk, capped, 0.25)
+        assert np.array_equal(mask, dense_margin_mask(disk, full, 0.25))
+        assert 0 < capped.ball_bytes <= budget

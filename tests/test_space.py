@@ -123,6 +123,11 @@ def test_generator_parameter_validation():
         cone_disk(5 * math.pi, 1.0, 0.1)
     with pytest.raises(DomainError):
         flat_torus(1.0, 0.0)
+    # round(L/h) = 2 would glue some edges to three faces
+    for h in (0.5, 0.4):
+        with pytest.raises(DomainError):
+            flat_torus(1.0, h)
+    assert flat_torus(1.0, 0.34).n_vertices == 9
     with pytest.raises(DomainError):
         icosphere(-1)
 
