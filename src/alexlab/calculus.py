@@ -8,15 +8,14 @@ is the functional phi -> -E(u, phi) evaluated against hat functions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .exceptions import DomainError, EmptyBoundaryError
+from .exceptions import DomainError
 from .report import ExperimentReport, make_report
-from .space import ConeSurface, DistanceField, _sublevel_fraction
+from .space import ConeSurface, DistanceField
 
 
 @dataclass
@@ -34,10 +33,6 @@ class PLFunction:
             )
         if not np.all(np.isfinite(self.values)):
             raise DomainError("PL function values must be finite")
-
-    @classmethod
-    def from_vertex_values(cls, surface, values):
-        return cls(surface, np.asarray(values, dtype=float))
 
     @classmethod
     def constant(cls, surface, c):
@@ -100,28 +95,14 @@ def face_inner(space: ConeSurface, gu: GradientField, gv: GradientField) -> np.n
     return np.einsum("fi,fi->f", gu.face_grad, gv.face_grad)
 
 
-def vertex_average(space: ConeSurface, face_values: np.ndarray) -> np.ndarray:
-    """Area-weighted average of a per-face quantity onto vertices."""
-    wsum = np.zeros(space.n_vertices)
-    acc = np.zeros(space.n_vertices)
-    np.add.at(wsum, space.faces.ravel(), np.repeat(space.face_area, 3))
-    np.add.at(acc, space.faces.ravel(), np.repeat(space.face_area * face_values, 3))
-    return acc / np.maximum(wsum, 1e-300)
-
-
 def pointwise_lip(space: ConeSurface, u: PLFunction, x: int) -> float:
-    """Discrete pointwise Lipschitz surrogate: max slope over incident edges."""
-    _check_host(space, u)
-    best = 0.0
-    for e, (i, j) in enumerate(space.edges):
-        if i == x or j == x:
-            slope = abs(u.values[i] - u.values[j]) / space.edge_lengths[e]
-            best = max(best, slope)
-    return best
+    """lip_field at the one vertex x."""
+    return float(lip_field(space, u)[x])
 
 
 def lip_field(space: ConeSurface, u: PLFunction) -> np.ndarray:
-    """pointwise_lip at every vertex, vectorized."""
+    """Discrete pointwise Lipschitz surrogate: max slope over incident edges,
+    at every vertex."""
     _check_host(space, u)
     i, j = space.edges[:, 0], space.edges[:, 1]
     slope = np.abs(u.values[i] - u.values[j]) / space.edge_lengths
@@ -139,10 +120,6 @@ class DirichletOperator:
     stiffness: sparse.csr_matrix
     masses: np.ndarray
     boundary: np.ndarray  # bool per vertex
-
-    @property
-    def interior(self) -> np.ndarray:
-        return ~self.boundary
 
 
 def assemble_operator(space: ConeSurface) -> DirichletOperator:
@@ -198,12 +175,11 @@ def laplacian_vector(op: DirichletOperator, u: PLFunction) -> np.ndarray:
 def hat_functions(space: ConeSurface, region) -> list[PLFunction]:
     """One nonnegative hat per interior vertex of the region.
 
-    region is a boolean vertex mask (or a predicate on vertex ids); hats
-    are 1 at their vertex and 0 elsewhere, so each lies in the Lipschitz
-    functions of compact support inside the region.
+    region is a boolean vertex mask; hats are 1 at their vertex and 0
+    elsewhere, so each lies in the Lipschitz functions of compact support
+    inside the region.
     """
-    mask = _region_mask(space, region)
-    ids = interior_region_vertices(space, mask)
+    ids = interior_region_vertices(space, region)
     if len(ids) == 0:
         raise DomainError("region has empty interior")
     hats = []
@@ -215,8 +191,6 @@ def hat_functions(space: ConeSurface, region) -> list[PLFunction]:
 
 
 def _region_mask(space, region):
-    if callable(region):
-        return np.asarray([bool(region(v)) for v in range(space.n_vertices)])
     mask = np.asarray(region, dtype=bool)
     if mask.shape != (space.n_vertices,):
         raise DomainError("region mask must have one entry per vertex")
@@ -322,8 +296,3 @@ def green_identity_check(space: ConeSurface, op: DirichletOperator, p: int,
         fitted={"lhs": lhs, "rhs": rhs},
         meta={"relative_mismatch": abs(lhs - rhs) / scale, "rel_tol": rel_tol},
     )
-
-
-def region_ball(space: ConeSurface, field: DistanceField, r: float) -> np.ndarray:
-    """Boolean vertex mask of the metric ball {dist <= r}."""
-    return field.vertex_dist <= r

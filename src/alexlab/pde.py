@@ -20,6 +20,8 @@ from .calculus import (
     DirichletOperator,
     PLFunction,
     _check_host,
+    _region_mask,
+    interior_region_vertices,
     laplacian_vector,
 )
 from .exceptions import (
@@ -29,7 +31,7 @@ from .exceptions import (
     NotClosedError,
     SolverDivergedError,
 )
-from .model import FLAT_CURVATURE_EPS, generalized_sine
+from .model import generalized_sine
 from .report import ExperimentReport, make_report
 from .space import ConeSurface, DistanceField
 
@@ -50,8 +52,8 @@ def _as_values(space, data, name):
     return arr
 
 
-def _cg(mat, rhs, tol, cap, x0=None):
-    sol, info = sla.cg(mat, rhs, rtol=tol, atol=0.0, maxiter=cap, x0=x0)
+def _cg(mat, rhs, tol, cap):
+    sol, info = sla.cg(mat, rhs, rtol=tol, atol=0.0, maxiter=cap)
     if info > 0:
         # one retry with a Jacobi preconditioner before giving up
         d = mat.diagonal()
@@ -114,15 +116,10 @@ def check_maximum_principle(space: ConeSurface, u: PLFunction, region_mask,
     interior max reaches the boundary max, u must be constant within tol.
     """
     _check_host(space, u)
-    region = np.asarray(region_mask, bool)
-    inner = region & ~space.boundary_vertex
-    i, j = space.edges[:, 0], space.edges[:, 1]
-    ring = np.zeros(space.n_vertices, dtype=bool)
-    outside = ~region
-    ring[i[outside[j]]] = True
-    ring[j[outside[i]]] = True
-    boundary = (region & (ring | space.boundary_vertex))
-    inner = region & ~boundary
+    region = _region_mask(space, region_mask)
+    inner = np.zeros(space.n_vertices, dtype=bool)
+    inner[interior_region_vertices(space, region)] = True
+    boundary = region & ~inner
     if not inner.any() or not boundary.any():
         raise DomainError("region needs both interior and boundary nodes")
     int_max = float(u.values[inner].max())
@@ -150,12 +147,12 @@ def supersolution_slack(op: DirichletOperator, u: PLFunction, f, hats) -> float:
         raise DomainError("need at least one hat function")
     space = op.surface
     fv = _as_values(space, f, "f")
-    lap = laplacian_vector(op, u)
+    resid = op.masses * fv - laplacian_vector(op, u)
     worst = math.inf
     for phi in hats:
         _check_host(space, phi)
         idx = np.flatnonzero(phi.values)
-        val = float((op.masses * fv - lap)[idx] @ phi.values[idx])
+        val = float(resid[idx] @ phi.values[idx])
         worst = min(worst, val)
     return worst
 
@@ -249,7 +246,6 @@ class HarmonicMeasure:
     weights: np.ndarray
     balls: list[np.ndarray]
     k: float
-    mu: np.ndarray | None = None
     solver_tol: float = 1e-10
 
     def mu_samples(self, phi: PLFunction) -> np.ndarray:
@@ -261,7 +257,6 @@ class HarmonicMeasure:
                 self.space, self.op, region, None, phi.values, self.solver_tol
             )
             out[idx] = u.values[self.center]
-        self.mu = out
         return out
 
 
@@ -292,7 +287,7 @@ def harmonic_measure(space: ConeSurface, op: DirichletOperator, p: int,
         if region.sum() < 4 or not (d[region] > 0).any():
             raise DomainError(f"ball of radius {r} is below mesh resolution")
         balls.append(region)
-    return HarmonicMeasure(space, op, p, R, radii, weights, balls, k)
+    return HarmonicMeasure(space, op, p, R, radii, weights, balls, k, solver_tol)
 
 
 def hm_integrate(hm: HarmonicMeasure, phi: PLFunction) -> float:

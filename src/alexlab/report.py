@@ -30,10 +30,6 @@ class ExperimentReport:
     fitted: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    @property
-    def min_slack(self) -> float:
-        return min(self.slacks) if self.slacks else float("inf")
-
     def to_dict(self) -> dict:
         meta = dict(self.meta)
         meta.setdefault("schema_version", SCHEMA_VERSION)
@@ -53,17 +49,13 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def make_report(name, params, slacks, tolerance, fitted=None, meta=None,
-                extra_pass=True) -> ExperimentReport:
-    """Assemble a report enforcing the pass <=> min slack >= -tolerance rule.
-
-    extra_pass allows an experiment to fail on side conditions that are not
-    expressible as a slack (it can only veto, never rescue).
-    """
+def make_report(name, params, slacks, tolerance, fitted=None,
+                meta=None) -> ExperimentReport:
+    """Assemble a report enforcing the pass <=> min slack >= -tolerance rule."""
     if tolerance < 0:
         raise DomainError(f"tolerance must be nonnegative, got {tolerance}")
     slacks = [float(s) for s in np.atleast_1d(np.asarray(slacks, dtype=float))]
-    ok = bool(extra_pass) and (not slacks or min(slacks) >= -tolerance)
+    ok = not slacks or min(slacks) >= -tolerance
     return ExperimentReport(
         name=name,
         params=_plain(params),

@@ -52,6 +52,10 @@ BALL_CACHE_BYTES = 256 * 2**20
 # dense sweep block is BALL_CHUNK x V floats.
 BALL_CHUNK = 256
 
+# DistanceCache.vertex_block sweeps at most this many graph-node distances
+# (sources x graph nodes) per Dijkstra call.
+BLOCK_CELLS = 16_000_000
+
 
 def _first(mask) -> int:
     """Index of the first True entry of a boolean array that has one."""
@@ -203,7 +207,6 @@ class ConeSurface:
         )
         self._charts = None
         self._graphs: dict[float, _SteinerGraph] = {}
-        self._fans: dict[int, _VertexFan] = {}
 
     # -- derived geometry ----------------------------------------------------
 
@@ -251,13 +254,6 @@ class ConeSurface:
             g = _SteinerGraph(self, float(h))
             self._graphs[key] = g
         return g
-
-    def fan(self, p: int) -> "_VertexFan":
-        f = self._fans.get(p)
-        if f is None:
-            f = _VertexFan(self, p)
-            self._fans[p] = f
-        return f
 
     def euler_characteristic(self) -> int:
         return self.n_vertices - len(self.edges) + self.n_faces
@@ -822,7 +818,7 @@ class DistanceCache:
             self._fields[source] = fld
         return fld
 
-    def vertex_block(self, sources, limit=np.inf, chunk_cells=16_000_000):
+    def vertex_block(self, sources, limit=np.inf):
         """Vertex-to-vertex distances (len(sources), V), inf beyond `limit`.
 
         Chunked over sources to bound peak memory.
@@ -831,7 +827,7 @@ class DistanceCache:
         V = self.space.n_vertices
         sources = np.asarray(sources, dtype=np.int64)
         out = np.empty((len(sources), V))
-        step = max(1, int(chunk_cells // max(g.n_nodes, 1)))
+        step = max(1, int(BLOCK_CELLS // max(g.n_nodes, 1)))
         for lo in range(0, len(sources), step):
             idx = sources[lo : lo + step]
             d = csgraph.dijkstra(g.matrix, directed=False, indices=idx, limit=limit)
@@ -1000,7 +996,7 @@ def initial_direction(space: ConeSurface, p: int, q: int, h: float,
         raise DomainError("initial_direction needs q != p")
     fld = cache.field(p) if cache is not None else distance_field(space, p, h)
     nodes, _ = trace_shortest_path(fld, q)
-    return space.fan(p).angle_of_segment(space.graph(fld.h), int(nodes[1]))
+    return _VertexFan(space, p).angle_of_segment(space.graph(fld.h), int(nodes[1]))
 
 
 def toponogov_check(space: ConeSurface, cache: DistanceCache,
@@ -1066,16 +1062,15 @@ def save_off(space: ConeSurface, path) -> None:
         coords = np.c_[emb, np.zeros(V)]
     else:
         coords = emb
+    F, E = space.n_faces, len(space.edges)
+    i, j = space.edges.T.tolist()
+    lengths = tuple(chain.from_iterable(zip(i, j, space.edge_lengths.tolist())))
     with open(path, "w") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{V} {space.n_faces} 0\n")
-        for row in coords:
-            fh.write(f"{row[0]:.17g} {row[1]:.17g} {row[2]:.17g}\n")
-        for a, b, c in space.faces:
-            fh.write(f"3 {a} {b} {c}\n")
+        fh.write(f"OFF\n{V} {F} 0\n")
+        fh.write("%.17g %.17g %.17g\n" * V % tuple(coords.ravel().tolist()))
+        fh.write("3 %d %d %d\n" * F % tuple(space.faces.ravel().tolist()))
         fh.write("#lengths\n")
-        for e, (i, j) in enumerate(space.edges):
-            fh.write(f"{i} {j} {space.edge_lengths[e]:.17g}\n")
+        fh.write("%d %d %.17g\n" * E % lengths)
 
 
 def _token_rows(rows, width: int, lead: str | None = None):

@@ -7,6 +7,7 @@ from alexlab.calculus import (
     PLFunction,
     assemble_operator,
     hat_functions,
+    interior_region_vertices,
     laplacian_vector,
 )
 from alexlab.exceptions import (
@@ -14,6 +15,7 @@ from alexlab.exceptions import (
     DomainError,
     EmptyBoundaryError,
     NotClosedError,
+    SolverDivergedError,
 )
 from alexlab.pde import (
     check_maximum_principle,
@@ -116,6 +118,19 @@ def test_maximum_principle_constant_strong_form(disk, center_field):
     assert rep.meta["constant_within_tol"]
 
 
+@pytest.mark.parametrize("region", [
+    lambda disk: np.ones(disk.n_vertices - 1, bool),
+    lambda disk: np.ones((disk.n_vertices, 2), bool),
+    lambda disk: (lambda v: True),
+], ids=["short", "two_columns", "callable"])
+def test_region_mask_shape_is_checked(disk, region):
+    u = PLFunction.constant(disk, 1.0)
+    with pytest.raises(DomainError):
+        check_maximum_principle(disk, u, region(disk))
+    with pytest.raises(DomainError):
+        interior_region_vertices(disk, region(disk))
+
+
 def test_supersolution_slack_solution_is_both(disk, op, center_field):
     g = PLFunction.from_embedding(disk, lambda x, y: (x * x + y * y) / 2)
     u = solve_poisson_dirichlet(disk, op, 2.0, g, tol=1e-12)
@@ -164,6 +179,12 @@ def test_first_eigenpair_flat_torus():
     assert lam == pytest.approx(4 * math.pi**2, rel=0.03)
 
 
+def test_first_eigenpair_iteration_cap():
+    torus = flat_torus(1.0, 1 / 16)
+    with pytest.raises(SolverDivergedError):
+        first_nonzero_eigenpair(torus, assemble_operator(torus), max_iter=3)
+
+
 def test_first_eigenpair_needs_closed(disk, op):
     with pytest.raises(NotClosedError):
         first_nonzero_eigenpair(disk, op)
@@ -202,7 +223,7 @@ def test_harmonic_measure_reproduces_harmonic_values(disk, op, center_field):
     val = hm_integrate(hm, phi)
     assert val == pytest.approx(5.0, abs=5 * disk.mesh_h**2 + 1e-3)
     # mu(r) of harmonic data is near-constant in r
-    assert np.abs(hm.mu - 5.0).max() <= 0.01
+    assert np.abs(hm.mu_samples(phi) - 5.0).max() <= 0.01
 
 
 def test_harmonic_measure_hat_lower_bound(disk, op, center_field):
@@ -232,5 +253,4 @@ def test_harmonic_measure_ball_too_large(disk, op, center_field):
 def test_harmonic_measure_nonnegative_mu(disk, op, center_field):
     hm = harmonic_measure(disk, op, 0, 0.5, 8, center_field)
     phi = PLFunction.from_embedding(disk, lambda x, y: abs(x) + 0.1)
-    hm_integrate(hm, phi)
-    assert np.all(hm.mu >= 0)
+    assert np.all(hm.mu_samples(phi) >= 0)

@@ -318,6 +318,41 @@ def test_off_roundtrip_flat(tmp_path):
     assert back.total_area == pytest.approx(disk.total_area, rel=1e-12)
 
 
+def line_save_off(space, path):
+    """Reference writer: one formatted write per vertex, face and edge."""
+    V = space.n_vertices
+    emb = space.embedding
+    if emb is None:
+        coords = np.zeros((V, 3))
+    elif emb.shape[1] == 2:
+        coords = np.c_[emb, np.zeros(V)]
+    else:
+        coords = emb
+    with open(path, "w") as fh:
+        fh.write("OFF\n")
+        fh.write(f"{V} {space.n_faces} 0\n")
+        for row in coords:
+            fh.write(f"{row[0]:.17g} {row[1]:.17g} {row[2]:.17g}\n")
+        for a, b, c in space.faces:
+            fh.write(f"3 {a} {b} {c}\n")
+        fh.write("#lengths\n")
+        for e, (i, j) in enumerate(space.edges):
+            fh.write(f"{i} {j} {space.edge_lengths[e]:.17g}\n")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cone_disk(2 * math.pi + 1.2, 1.0, 0.1),
+    lambda: flat_disk(1.0, 0.1),
+    lambda: flat_torus(1.0, 0.1),
+    lambda: icosphere(3),
+], ids=["cone_disk", "flat_disk", "flat_torus", "icosphere"])
+def test_save_off_matches_line_writer(make, tmp_path):
+    surf = make()
+    save_off(surf, tmp_path / "block.off")
+    line_save_off(surf, tmp_path / "line.off")
+    assert (tmp_path / "block.off").read_bytes() == (tmp_path / "line.off").read_bytes()
+
+
 def test_off_rejects_bad_lengths(tmp_path):
     path = tmp_path / "bad.off"
     path.write_text(
