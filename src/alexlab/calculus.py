@@ -233,15 +233,6 @@ def shell_integral(space: ConeSurface, field: DistanceField, u: PLFunction,
     return float(masses[sel] @ u.values[sel]) / (2 * eps)
 
 
-def shell_average(space: ConeSurface, field: DistanceField, u: PLFunction,
-                  r: float, eps: float) -> float:
-    """Mass-weighted mean of u over the thin shell (bias-cancelling ratio)."""
-    one = PLFunction.constant(space, 1.0)
-    return shell_integral(space, field, u, r, eps) / shell_integral(
-        space, field, one, r, eps
-    )
-
-
 def ball_integral(space: ConeSurface, field: DistanceField, u: PLFunction,
                   r: float, exclude_source: bool = False) -> float:
     """Lumped integral of u over the metric ball {dist <= r}."""

@@ -40,7 +40,7 @@ SINGULAR_ANGLE_TOL = 1e-9
 # of the Steiner spacing.  It was fitted to one flat-disk test; on
 # flat_disk(1, 0.04) at spacing 0.016 the graph overestimates by 2.2-2.4
 # spacings.  A bound derived from the construction replaces it (ROADMAP
-# item 4).
+# item "derived error bounds").
 DISTANCE_ERROR_FACTOR = 2.0
 
 # DistanceCache keeps at most this many bytes of truncated distance balls;
@@ -372,21 +372,8 @@ def _record_lengths(edge_lengths, inc: _Incidence, n_vertices) -> np.ndarray:
     if outside.any():
         raise no_side(i[_first(outside)], j[_first(outside)])
     keys = _edge_keys(i, j, n_vertices)
-    order = np.argsort(keys, kind="stable")
-    keys, lengths = keys[order], lengths[order]
-    same = keys[1:] == keys[:-1]
-    clash = same & (
-        np.abs(lengths[1:] - lengths[:-1]) > 1e-9 * np.maximum(lengths[1:], lengths[:-1])
-    )
-    if clash.any():
-        k = _first(clash)
-        lo, hi = divmod(int(keys[k]), n_vertices)
-        raise InconsistentGluingError(
-            f"edge ({lo}, {hi}) declared with lengths {lengths[k]} and {lengths[k + 1]}"
-        )
-    last = np.ones(len(keys), dtype=bool)  # the last record of each pair wins
-    last[:-1] = ~same
-    keys, lengths = keys[last], lengths[last]
+    keep = _last_records(keys, lengths, n_vertices)
+    keys, lengths = keys[keep], lengths[keep]
 
     at, found = _find(inc.edges[:, 0] * n_vertices + inc.edges[:, 1], keys)
     if not found.all():
@@ -399,6 +386,29 @@ def _record_lengths(edge_lengths, inc: _Incidence, n_vertices) -> np.ndarray:
         i, j = inc.edges[inc.face_edge.ravel()[side]]
         raise DomainError(f"face {side // 3} uses edge ({i}, {j}) with no declared length")
     return out
+
+
+def _last_records(keys, lengths, n_vertices) -> np.ndarray:
+    """Index of the last record of each distinct edge key, in key order.
+
+    Records of one edge must agree to 1e-9 relative, or the gluing is
+    rejected.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys, lengths = keys[order], lengths[order]
+    same = keys[1:] == keys[:-1]
+    clash = same & (
+        np.abs(lengths[1:] - lengths[:-1]) > 1e-9 * np.maximum(lengths[1:], lengths[:-1])
+    )
+    if clash.any():
+        k = _first(clash)
+        lo, hi = divmod(int(keys[k]), n_vertices)
+        raise InconsistentGluingError(
+            f"edge ({lo}, {hi}) declared with lengths {lengths[k]} and {lengths[k + 1]}"
+        )
+    last = np.ones(len(keys), dtype=bool)
+    last[:-1] = ~same
+    return order[last]
 
 
 def _face_components(surf: ConeSurface) -> int:
@@ -1073,150 +1083,123 @@ def save_off(space: ConeSurface, path) -> None:
         fh.write("%d %d %.17g\n" * E % lengths)
 
 
-def _token_rows(rows, width: int, lead: str | None = None):
-    """Tokens, as one flat list, of the leading lines that have `width`
-    tokens (and first token `lead`), and the index of the first other line."""
-    tokens = list(map(str.split, rows))
-    ntok = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
-    n = _first(ntok != width) if np.any(ntok != width) else len(rows)
-    flat = list(chain.from_iterable(tokens[:n]))
-    if lead is not None and n:
-        other = np.asarray(flat[::width]) != lead
-        if other.any():
-            n = _first(other)
-    return flat[: n * width], n
-
-
-def _convert_rows(tokens, width: int, convert):
-    """convert() of the longest leading run of rows that converts, and its
-    row count."""
-    n = len(tokens) // width
+def _convert(rows, dtype, msg):
+    """np.array(rows, dtype); a token that does not convert raises ValueError(msg)."""
     try:
-        return convert(tokens), n
-    except ValueError:
-        pass
-    lo, hi = 0, n  # rows[:lo] convert, rows[:hi] do not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            convert(tokens[: mid * width])
-            lo = mid
-        except ValueError:
-            hi = mid
-    return convert(tokens[: lo * width]), lo
-
-
-def _floats(tokens):
-    return np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
-
-
-def _ints(tokens):
-    return np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
+        return np.array(rows, dtype=dtype)
+    except (ValueError, OverflowError):
+        raise ValueError(msg) from None
 
 
 def load_off(path, declared_k: float = 0.0) -> ConeSurface:
-    """Parse the mesh text format; the optional #lengths trailer overrides
-    embedding distances.  Rejects NaN and nonpositive lengths.
+    """Read a surface from the text format that save_off writes.
 
-    Blank lines and lines starting with '#' are skipped, except the
-    '#lengths' marker.  Each block of lines is parsed as one array; an
-    error names the file and the first bad line.
+    The content lines, in order:
+
+    - the header ``OFF``;
+    - the counts ``V F x``: nonnegative integers V and F, and any third
+      token;
+    - V vertex lines ``x y z`` of finite coordinates;
+    - F face lines ``3 i j k`` of vertex ids in [0, V);
+    - optionally the marker ``#lengths``, then any number of edge records
+      ``i j L`` with vertex ids in [0, V) and a length L > 0.
+
+    A record overrides the embedding distance of the face side it names,
+    and a record that names no face side is an error.  Records of one edge
+    must agree to 1e-9 relative (else InconsistentGluingError); the last
+    one is used.  Blank lines and lines whose first non-blank character is
+    '#' are comments, except the marker itself.  Lines end in LF or CRLF.
+
+    A malformed file raises MeshFormatError naming the file and its first
+    bad line; each line is checked for its token count, then its
+    conversion, then its values.
     """
     with open(path) as fh:
         lines = fh.read().split("\n")
     if lines[-1] == "":
         lines.pop()
+    tokens = [line.split() for line in lines]
+    # content lines: not blank, and no comment unless the '#lengths' marker
+    nums = [n for n, t in enumerate(tokens, 1) if t and (t[0][0] != "#" or t == ["#lengths"])]
+    content = [tokens[n - 1] for n in nums]
 
-    def fail(lineno, msg):
-        raise MeshFormatError(f"{path}:{lineno}: {msg}")
+    def fail(num, msg):
+        raise MeshFormatError(f"{path}:{num}: {msg}") from None
 
-    text = np.array(list(map(str.strip, lines)), dtype=str)
-    content = (text != "") & (~np.char.startswith(text, "#") | (text == "#lengths"))
-    rows = text[content]
-    lineno = np.flatnonzero(content) + 1
+    def block(start, stop, parse):
+        """parse() of content rows [start, stop).  If it raises, the rows are
+        parsed one at a time to fail at the first bad one."""
+        try:
+            return parse(content[start:stop])
+        except ValueError:
+            for row, num in zip(content[start:stop], nums[start:stop]):
+                try:
+                    parse([row])
+                except ValueError as err:
+                    fail(num, err)
+            raise  # not reached: every check is a check of one row
 
-    def block(start, count, width, convert, shape_msg, parse_msg, checks,
-              lead=None, missing_msg=None):
-        """Values of `count` content lines from content line `start`.
+    def vertex_rows(rows):
+        if any(len(r) != 3 for r in rows):
+            raise ValueError("vertex line must have 3 coordinates")
+        x = _convert(rows, float, "bad vertex coordinate").reshape(-1, 3)
+        if not np.isfinite(x).all():
+            raise ValueError("vertex coordinate is not finite")
+        return x
 
-        Fails at the first line with the wrong tokens, that `convert`
-        rejects or that a check flags.  A check is a function of the values
-        giving a mask of bad lines, with a message or a function of the
-        values and the line giving one.  Then fails if the file has fewer
-        lines.
-        """
-        nums = lineno[start : start + count]
-        tokens, n_shape = _token_rows(rows[start : start + count], width, lead)
-        values, n_parse = _convert_rows(tokens, width, convert)
-        masks = np.array([check(values) for check, _ in checks]).reshape(len(checks), -1)
-        if masks.any():
-            q = _first(masks.any(axis=0))
-            msg = checks[_first(masks[:, q])][1]
-            fail(nums[q], msg(values, q) if callable(msg) else msg)
-        if n_parse < n_shape:
-            fail(nums[n_parse], parse_msg)
-        if n_shape < len(nums):
-            fail(nums[n_shape], shape_msg)
-        if len(nums) < count:
-            fail(len(lines), missing_msg)
-        return values
+    def face_rows(rows):
+        if any(len(r) != 4 or r[0] != "3" for r in rows):
+            raise ValueError("face line must be '3 i j k'")
+        f = _convert(rows, np.int64, "bad face index").reshape(-1, 4)[:, 1:]
+        if ((f < 0) | (f >= nv)).any():
+            raise ValueError("face index out of range")
+        return f
 
-    if len(rows) == 0 or rows[0] != "OFF":
-        fail(lineno[0] if len(rows) else 1, "expected OFF header")
-    if len(rows) < 2:
+    def length_rows(rows):
+        if any(len(r) != 3 for r in rows):
+            raise ValueError("length line must be 'i j L'")
+        ij = _convert([r[:2] for r in rows], np.int64, "bad length record").reshape(-1, 2)
+        L = _convert([r[2] for r in rows], float, "bad length record")
+        bad = np.isnan(L) | (L <= 0)
+        if bad.any():
+            raise ValueError(f"invalid edge length {L[_first(bad)]}")
+        if ((ij < 0) | (ij >= nv)).any():
+            raise ValueError("length record index out of range")
+        return ij, L
+
+    if not content or content[0] != ["OFF"]:
+        fail(nums[0] if content else 1, "expected OFF header")
+    if len(content) < 2:
         fail(len(lines), "missing counts line")
-    parts = rows[1].split()
-    if len(parts) != 3:
-        fail(lineno[1], "counts line must be 'V F 0'")
+    if len(content[1]) != 3:
+        fail(nums[1], "counts line must be 'V F 0'")
     try:
-        nv, nf = int(parts[0]), int(parts[1])
+        nv, nf = int(content[1][0]), int(content[1][1])
     except ValueError:
-        fail(lineno[1], "counts must be integers")
+        fail(nums[1], "counts must be integers")
     if nv < 0 or nf < 0:
-        fail(lineno[1], "counts must be nonnegative")
+        fail(nums[1], "counts must be nonnegative")
 
-    coords = block(
-        2, nv, 3, lambda t: _floats(t).reshape(-1, 3),
-        "vertex line must have 3 coordinates", "bad vertex coordinate",
-        [(lambda x: ~np.isfinite(x).all(axis=1), "vertex coordinate is not finite")],
-        missing_msg=f"expected {nv} vertex lines",
-    )
-    faces = block(
-        2 + nv, nf, 4, lambda t: _ints(t).reshape(-1, 4)[:, 1:],
-        "face line must be '3 i j k'", "bad face index",
-        [(lambda f: ((f < 0) | (f >= nv)).any(axis=1), "face index out of range")],
-        lead="3", missing_msg=f"expected {nf} face lines",
-    )
-
+    coords = block(2, 2 + nv, vertex_rows)
+    if len(content) < 2 + nv:
+        fail(len(lines), f"expected {nv} vertex lines")
+    faces = block(2 + nv, 2 + nv + nf, face_rows)
     start = 2 + nv + nf
-    o_ij, o_len, o_line = np.empty((0, 2), dtype=np.int64), np.empty(0), lineno[:0]
-    if start < len(rows) and rows[start] == "#lengths":
-        o_ij, o_len = block(
-            start + 1, len(rows) - start - 1, 3,
-            lambda t: (np.c_[_ints(t[0::3]), _ints(t[1::3])], _floats(t[2::3])),
-            "length line must be 'i j L'", "bad length record",
-            [(lambda r: np.isnan(r[1]) | (r[1] <= 0),
-              lambda r, q: f"invalid edge length {r[1][q]}"),
-             (lambda r: ((r[0] < 0) | (r[0] >= nv)).any(axis=1),
-              "length record index out of range")],
-        )
-        o_line = lineno[start + 1 :]
-    elif start < len(rows):
-        fail(lineno[start], f"unexpected trailing content: {str(rows[start])!r}")
-
-    o_keys = _edge_keys(o_ij[:, 0], o_ij[:, 1], nv)
-    # the last record of a pair wins
-    _, rev = np.unique(o_keys[::-1], return_index=True)
-    last = len(o_keys) - 1 - rev
+    if len(content) < start:
+        fail(len(lines), f"expected {nf} face lines")
+    if start < len(content) and content[start] != ["#lengths"]:
+        fail(nums[start], f"unexpected trailing content: {lines[nums[start] - 1].strip()!r}")
+    rec_ij, rec_len = block(start + 1, len(content), length_rows)
+    rec_keys = _edge_keys(rec_ij[:, 0], rec_ij[:, 1], nv)
 
     def lengths(u, v):
         out = np.linalg.norm(coords[u] - coords[v], axis=1)
-        if len(o_keys):
-            # build_surface lists edges sorted by (min, max), so their keys ascend
-            pos, found = _find(_edge_keys(u, v, nv), o_keys)
-            if not found.all():
-                fail(o_line[_first(~found)], "length record names no face edge")
-            out[pos[last]] = o_len[last]
+        # build_surface lists edges sorted by (min, max), so their keys ascend
+        pos, found = _find(_edge_keys(u, v, nv), rec_keys)
+        if not found.all():
+            fail(nums[start + 1 + _first(~found)], "length record names no face edge")
+        last = _last_records(rec_keys, rec_len, nv)
+        out[pos[last]] = rec_len[last]
         return out
 
     embedding = coords if np.any(coords) else None

@@ -17,7 +17,6 @@ from alexlab.calculus import (
     laplacian_vector,
     lip_field,
     pointwise_lip,
-    shell_average,
     shell_integral,
 )
 from alexlab.exceptions import DomainError

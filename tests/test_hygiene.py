@@ -1,11 +1,15 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a module imports is used in that module, and every console
+script in pyproject.toml resolves."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "alexlab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "alexlab"
+MODULES = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(path):
@@ -22,7 +26,7 @@ def unused_imports(path):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_module_uses_every_import(path):
     assert unused_imports(path) == []
 
@@ -31,3 +35,11 @@ def test_unused_import_is_reported(tmp_path):
     mod = tmp_path / "mod.py"
     mod.write_text("import math\nfrom os import path, sep as s\nprint(path)\n")
     assert unused_imports(mod) == [(1, "math"), (2, "s")]
+
+
+def test_console_scripts_resolve():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    for name, target in project.get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        assert hasattr(importlib.import_module(module), attr), f"{name} = {target!r}"

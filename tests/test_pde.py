@@ -8,7 +8,6 @@ from alexlab.calculus import (
     assemble_operator,
     hat_functions,
     interior_region_vertices,
-    laplacian_vector,
 )
 from alexlab.exceptions import (
     BallTooLargeError,

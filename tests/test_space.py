@@ -13,7 +13,6 @@ from alexlab.exceptions import (
     UnreachableError,
 )
 from alexlab.space import (
-    ConeSurface,
     DistanceCache,
     ball_volume,
     build_surface,
@@ -340,17 +339,35 @@ def line_save_off(space, path):
             fh.write(f"{i} {j} {space.edge_lengths[e]:.17g}\n")
 
 
-@pytest.mark.parametrize("make", [
+OFF_GENERATORS = pytest.mark.parametrize("make", [
     lambda: cone_disk(2 * math.pi + 1.2, 1.0, 0.1),
     lambda: flat_disk(1.0, 0.1),
     lambda: flat_torus(1.0, 0.1),
     lambda: icosphere(3),
 ], ids=["cone_disk", "flat_disk", "flat_torus", "icosphere"])
+
+
+@OFF_GENERATORS
 def test_save_off_matches_line_writer(make, tmp_path):
     surf = make()
     save_off(surf, tmp_path / "block.off")
     line_save_off(surf, tmp_path / "line.off")
     assert (tmp_path / "block.off").read_bytes() == (tmp_path / "line.off").read_bytes()
+
+
+@OFF_GENERATORS
+def test_off_roundtrip_is_bit_identical(make, tmp_path):
+    surf = make()
+    save_off(surf, tmp_path / "s.off")
+    back = load_off(tmp_path / "s.off")
+    assert np.array_equal(back.faces, surf.faces)
+    assert np.array_equal(back.edges, surf.edges)
+    assert np.array_equal(back.edge_lengths, surf.edge_lengths)
+    emb = surf.embedding
+    if emb is None:
+        assert back.embedding is None
+    else:  # written padded to 3D
+        assert np.array_equal(back.embedding, np.c_[emb, np.zeros((len(emb), 3 - emb.shape[1]))])
 
 
 def test_off_rejects_bad_lengths(tmp_path):
@@ -448,6 +465,91 @@ def test_off_reports_first_bad_line(tmp_path):
         "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n3 0 1\n"
     )
     with pytest.raises(MeshFormatError, match=r"bad\.off:6: face index out of range"):
+        load_off(path)
+    path.write_text(
+        "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n3 0 1 7\n"
+    )
+    with pytest.raises(MeshFormatError, match=r"bad\.off:6: face line must be '3 i j k'"):
+        load_off(path)
+
+
+TRIANGLE_OFF = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
+TRIANGLE_LENGTHS = TRIANGLE_OFF + "#lengths\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("", 1, "expected OFF header"),
+    ("# made by hand\nNOFF\n3 1 0\n", 2, "expected OFF header"),
+    ("OFF\n", 1, "missing counts line"),
+    ("OFF\n# no counts\n\n", 3, "missing counts line"),
+    ("OFF\n3 1\n", 2, "counts line must be 'V F 0'"),
+    ("OFF\n3 x 0\n", 2, "counts must be integers"),
+    ("OFF\n3.0 1 0\n", 2, "counts must be integers"),
+    ("OFF\n3 -1 0\n", 2, "counts must be nonnegative"),
+    ("OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n", 4, "vertex line must have 3 coordinates"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 inf 0\n3 0 1 2\n", 5, "vertex coordinate is not finite"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n", 4, "expected 3 vertex lines"),
+    ("OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", 6, "vertex line must have 3 coordinates"),
+    ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", 6, "expected 2 face lines"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n4 0 1 2\n", 6, "face line must be '3 i j k'"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2.0\n", 6, "bad face index"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n", 6, "face index out of range"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 -1 2\n", 6, "face index out of range"),
+    (TRIANGLE_OFF + "9 9 9\n", 7, "unexpected trailing content: '9 9 9'"),
+    (TRIANGLE_LENGTHS + "0 1\n", 8, "length line must be 'i j L'"),
+    (TRIANGLE_LENGTHS + "x 1\n", 8, "length line must be 'i j L'"),
+    (TRIANGLE_LENGTHS + "0.0 1 1.5\n", 8, "bad length record"),
+    (TRIANGLE_LENGTHS + "0 3 1.5\n", 8, "length record index out of range"),
+    (TRIANGLE_LENGTHS + "0 1 nan\n", 8, "invalid edge length nan"),
+    (TRIANGLE_LENGTHS + "0 1 -1\n", 8, "invalid edge length -1.0"),
+    (TRIANGLE_LENGTHS + "0 1 x\n", 8, "bad length record"),
+    (TRIANGLE_LENGTHS + "0 3 -1\n", 8, "invalid edge length -1.0"),
+    (TRIANGLE_LENGTHS + "0 1 1\n# note\n1 2 1.5\n0 2 0\n", 11, "invalid edge length 0.0"),
+])
+def test_off_error_names_file_and_line(text, line, message, tmp_path):
+    path = tmp_path / "m.off"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError) as err:
+        load_off(path)
+    assert str(err.value) == f"{path}:{line}: {message}"
+
+
+def test_off_integer_overflow_is_a_format_error(tmp_path):
+    path = tmp_path / "m.off"
+    big = "99999999999999999999"
+    path.write_text(f"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 {big}\n")
+    with pytest.raises(MeshFormatError, match=r"m\.off:6: bad face index"):
+        load_off(path)
+    path.write_text(TRIANGLE_LENGTHS + f"0 {big} 1.0\n")
+    with pytest.raises(MeshFormatError, match=r"m\.off:8: bad length record"):
+        load_off(path)
+
+
+@pytest.mark.parametrize("text", [
+    "# a triangle\n\nOFF\n  # counts follow\n3 1 0\n0 0 0\n\n1 0 0\n0 1 0\n"
+    "3 0 1 2\n#lengths\n# legs\n0 1 1.5\n",
+    "OFF\r\n3 1 0\r\n0 0 0\r\n1 0 0\r\n0 1 0\r\n3 0 1 2\r\n#lengths\r\n0 1 1.5\r\n",
+    "\tOFF \n 3  1  0\n0\t0 0\n1 0 0 \n0 1 0\n3 0 1 2\n  #lengths  \n0 1 1.5",
+], ids=["comments_and_blanks", "crlf", "whitespace"])
+def test_off_accepts_comments_blank_lines_and_crlf(text, tmp_path):
+    plain = tmp_path / "plain.off"
+    plain.write_text(TRIANGLE_LENGTHS + "0 1 1.5\n")
+    path = tmp_path / "m.off"
+    path.write_bytes(text.encode())
+    surf, ref = load_off(path), load_off(plain)
+    assert np.array_equal(surf.faces, ref.faces)
+    assert np.array_equal(surf.edge_lengths, ref.edge_lengths)
+    assert np.array_equal(surf.embedding, ref.embedding)
+    assert surf.edge_lengths[surf.edge_index[(0, 1)]] == 1.5
+
+
+def test_off_duplicate_length_records(tmp_path):
+    path = tmp_path / "tri.off"
+    path.write_text(TRIANGLE_LENGTHS + "0 1 1.3\n1 0 1.3\n")
+    surf = load_off(path)
+    assert surf.edge_lengths[surf.edge_index[(0, 1)]] == 1.3
+    path.write_text(TRIANGLE_LENGTHS + "0 1 1.2\n1 0 1.3\n")
+    with pytest.raises(InconsistentGluingError, match=r"edge \(0, 1\) declared with lengths 1.2 and 1.3"):
         load_off(path)
 
 
