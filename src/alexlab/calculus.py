@@ -234,28 +234,27 @@ def shell_integral(space: ConeSurface, field: DistanceField, u: PLFunction,
 
 
 def ball_integral(space: ConeSurface, field: DistanceField, u: PLFunction,
-                  r: float, exclude_source: bool = False) -> float:
+                  r: float) -> float:
     """Lumped integral of u over the metric ball {dist <= r}."""
     _check_host(space, u)
     d = field.vertex_dist
     sel = d <= r
-    if exclude_source:
-        sel = sel.copy()
-        sel[field.source] = False
     masses = space.vertex_masses()
     return float(masses[sel] @ u.values[sel])
 
 
 def green_identity_check(space: ConeSurface, op: DirichletOperator, p: int,
                          inner_r: float, outer_r: float, v: PLFunction,
-                         phi_radial, phi_radial_deriv, field: DistanceField,
-                         rel_tol: float = 0.05) -> ExperimentReport:
+                         phi_radial, phi_radial_deriv,
+                         field: DistanceField) -> ExperimentReport:
     """Annulus flux identity for a radial function w = phi(dist_p).
 
     Compares I_{w,A}(v) = E(w, v eta) + sum v L_w(hat) over the annulus
     against phi'(R) * shell(v, R) - phi'(r) * shell(v, r).  The report
-    records both sides and their mismatch as slack.
+    records both sides and their mismatch as slack, which must stay within
+    5% relative.
     """
+    rel_tol = 0.05
     _check_host(space, v)
     if inner_r >= outer_r:
         raise DomainError("need inner_r < outer_r")

@@ -138,14 +138,13 @@ def semigroup_audit(space: ConeSurface, cache: DistanceCache, u: PLFunction,
 
 
 def footpoint_audit(space: ConeSurface, cache: DistanceCache,
-                    result: HopfLaxResult, u: PLFunction,
-                    identity_tol: float | None = None,
-                    sandwich_tol: float | None = None) -> ExperimentReport:
+                    result: HopfLaxResult, u: PLFunction) -> ExperimentReport:
     """Foot-point identity |x F_t(x)| = t |grad u_t(x)| and the slope sandwich.
 
     Audited on nodes at distance > sqrt(4 t osc u) from the boundary.
     The sandwich compares |grad u_t(x)| against the descending slope of u
     at F_t(x) from below and the pointwise Lipschitz constant from above.
+    The identity must hold to 4 h and the sandwich to 6 h, h = mesh_h.
     """
     _check_host(space, u)
     t = result.t
@@ -154,10 +153,8 @@ def footpoint_audit(space: ConeSurface, cache: DistanceCache,
     inner = interior_margin_mask(space, cache, margin)
     if not inner.any():
         raise DomainError("no interior nodes survive the boundary margin")
-    if identity_tol is None:
-        identity_tol = 4 * space.mesh_h
-    if sandwich_tol is None:
-        sandwich_tol = 6 * space.mesh_h
+    identity_tol = 4 * space.mesh_h
+    sandwich_tol = 6 * space.mesh_h
 
     grad_t = np.sqrt(face_gradient(space, result.as_plfunction()).vertex_sq)
     ids = np.flatnonzero(inner)

@@ -266,14 +266,12 @@ def comparison_angle(k: float, opp: float, s1: float, s2: float) -> float:
     return math.acos(min(1.0, max(-1.0, c)))
 
 
-def bishop_gromov_profile(
-    ball_volumes, params: ModelParams, tol: float = 1e-9
-) -> tuple[np.ndarray, bool]:
+def bishop_gromov_profile(ball_volumes, params: ModelParams) -> tuple[np.ndarray, bool]:
     """Ratios vol(B(r))/model ball volume plus a monotonicity flag.
 
     ball_volumes is a sequence of (r, vol) pairs with strictly increasing
     radii and nondecreasing, nonnegative volumes.  The flag is True iff
-    the ratio sequence is nonincreasing within `tol`.
+    the ratio sequence is nonincreasing within 1e-9.
     """
     pairs = list(ball_volumes)
     if not pairs:
@@ -286,5 +284,5 @@ def bishop_gromov_profile(
         raise DomainError("volumes must be nonnegative and nondecreasing")
     model = np.asarray([model_ball_volume(params, r) for r in radii])
     ratios = vols / model
-    monotone = bool(np.all(np.diff(ratios) <= tol))
+    monotone = bool(np.all(np.diff(ratios) <= 1e-9))
     return ratios, monotone

@@ -108,13 +108,15 @@ def solve_region_dirichlet(space, op, region_mask, f, g_values, tol=1e-10):
     return solve_poisson_dirichlet(space, op, f, g_values, tol, boundary_mask=bmask)
 
 
-def check_maximum_principle(space: ConeSurface, u: PLFunction, region_mask,
-                            tol: float = 1e-9) -> ExperimentReport:
+def check_maximum_principle(space: ConeSurface, u: PLFunction,
+                            region_mask) -> ExperimentReport:
     """Weak and strong maximum principle report for u on a region.
 
-    Weak form: interior max <= boundary max + tol.  Strong form: when the
-    interior max reaches the boundary max, u must be constant within tol.
+    Weak form: interior max <= boundary max + tol, with tol = 1e-9.  Strong
+    form: when the interior max reaches the boundary max, u must be
+    constant within tol.
     """
+    tol = 1e-9
     _check_host(space, u)
     region = _region_mask(space, region_mask)
     inner = np.zeros(space.n_vertices, dtype=bool)
@@ -201,7 +203,7 @@ def first_nonzero_eigenpair(space: ConeSurface, op: DirichletOperator,
 
 
 def solve_closed_harmonic(space: ConeSurface, op: DirichletOperator, f=None,
-                          tol: float = 1e-12, seed: int = 99) -> PLFunction:
+                          tol: float = 1e-12) -> PLFunction:
     """Zero-mean solution of L_u = f vol on a closed surface.
 
     With f = 0 this converges to the zero-mean element of the stiffness
@@ -215,8 +217,7 @@ def solve_closed_harmonic(space: ConeSurface, op: DirichletOperator, f=None,
     if abs(float(M @ fv)) > 1e-8 * float(M.sum()) * (np.abs(fv).max() + 1e-30):
         raise DomainError("right-hand side must have zero mean on a closed surface")
     K = op.stiffness
-    rng = np.random.default_rng(seed)
-    x0 = rng.standard_normal(space.n_vertices)
+    x0 = np.random.default_rng(99).standard_normal(space.n_vertices)
     x0 -= (M @ x0) / M.sum()
     rhs = -(M * fv)
     cap = max(200, int(CG_ITER_FACTOR * math.sqrt(space.n_vertices)))

@@ -7,9 +7,9 @@ distances are approximated by shortest paths on a Steiner-refined graph
 (edge subdivision plus in-face crossing edges), which overestimates the
 true distance by O(h).
 
-Mesh data are arrays: the edge table, the face-edge and edge-face
-incidences and the vertex-corner incidence all come from one sort of the
-face half-edges (see :func:`_incidence`).
+Mesh data are arrays: the edge table and the face-edge and edge-face
+incidences all come from one sort of the face half-edges (see
+:func:`_incidence`).
 """
 
 from __future__ import annotations
@@ -86,8 +86,6 @@ class _Incidence:
     face_edge: np.ndarray    # (F, 3) edge of each side
     edge_sides: np.ndarray   # (E, 2) first two half-edges on each edge, -1 if missing
     edge_degree: np.ndarray  # (E,) faces on each edge
-    corner_ptr: np.ndarray   # (V + 1,) CSR row pointer of the vertex-corner incidence
-    corners: np.ndarray      # corners at each vertex, in face order
 
     def oriented_edges(self, faces):
         """Endpoints (u, v) of each edge in the direction its first face runs it."""
@@ -118,16 +116,11 @@ def _incidence(faces: np.ndarray, n_vertices: int) -> _Incidence:
     sides[:, 0] = order[start]
     shared = degree > 1
     sides[shared, 1] = order[start[shared] + 1]
-
-    corner_vertex = faces.ravel()
-    counts = np.bincount(corner_vertex, minlength=n_vertices)
     return _Incidence(
         edges=np.c_[ukeys // n_vertices, ukeys % n_vertices],
         face_edge=edge_id.reshape(-1, 3),
         edge_sides=sides,
         edge_degree=degree,
-        corner_ptr=np.r_[0, np.cumsum(counts)],
-        corners=np.argsort(corner_vertex, kind="stable"),
     )
 
 
@@ -157,7 +150,7 @@ class ConeSurface:
     def __init__(self, faces, incidence: _Incidence, edge_lengths,
                  declared_k=0.0, embedding=None, mesh_h=None):
         self.faces = np.asarray(faces, dtype=np.int64)
-        self.n_vertices = len(incidence.corner_ptr) - 1
+        self.n_vertices = int(self.faces.max()) + 1
         self.declared_k = float(declared_k)
         self.embedding = None if embedding is None else np.asarray(embedding, float)
 
@@ -170,8 +163,6 @@ class ConeSurface:
         self.edge_sides = incidence.edge_sides
         # (E, 2) faces on each edge, -1 where a boundary edge has no second
         self.edge_faces = np.where(self.edge_sides >= 0, self.edge_sides // 3, -1)
-        self._corner_ptr = incidence.corner_ptr
-        self._corners = incidence.corners
 
         l0, l1, l2 = (self.face_side_len[:, s] for s in range(3))
         self.corner_angle = np.stack(
@@ -221,10 +212,6 @@ class ConeSurface:
     @property
     def total_area(self) -> float:
         return float(self.face_area.sum())
-
-    def vertex_corners(self, p: int) -> np.ndarray:
-        """Corners 3 f + t at vertex p, in face order."""
-        return self._corners[self._corner_ptr[p] : self._corner_ptr[p + 1]]
 
     def charts(self) -> np.ndarray:
         """Per-face 2D coordinates (F, 3, 2) laid out from side lengths."""
@@ -284,7 +271,9 @@ def build_surface(faces, edge_lengths, declared_k=0.0, embedding=None,
     a cycle around an interior vertex or an arc between the two boundary
     edges at a boundary vertex.
     """
-    faces = np.asarray(faces, dtype=np.int64)
+    # contiguous: load_off passes a column slice, and initial_direction's
+    # scan of the faces runs ~6x slower on a strided array
+    faces = np.ascontiguousarray(faces, dtype=np.int64)
     if faces.ndim != 2 or faces.shape[1] != 3:
         raise DomainError("faces must be an (F, 3) array of vertex ids")
     if len(faces) == 0:
@@ -324,7 +313,7 @@ def build_surface(faces, edge_lengths, declared_k=0.0, embedding=None,
     surf = ConeSurface(faces, inc, lengths, declared_k, embedding, mesh_h)
 
     # connectivity of the face-adjacency graph, and no orphan vertices
-    if not np.all(inc.corner_ptr[1:] > inc.corner_ptr[:-1]):
+    if not np.bincount(faces.ravel(), minlength=n_vertices).all():
         raise DisconnectedError("surface has vertices not contained in any face")
     n_comp = _face_components(surf)
     if n_comp != 1:
@@ -710,13 +699,6 @@ class _SteinerGraph:
             np.concatenate(chunks_v), self.n_nodes,
         )
 
-    def node_position(self, node: int):
-        """(edge id, fraction) for a Steiner node, or None for a vertex."""
-        k = node - self.surface.n_vertices
-        if k < 0:
-            return None
-        return int(self.steiner_edge[k]), float(self.steiner_frac[k])
-
     def node_values(self, vertex_values: np.ndarray) -> np.ndarray:
         """PL interpolation of a vertex function onto all graph nodes."""
         surf = self.surface
@@ -910,103 +892,76 @@ def trace_shortest_path(field: DistanceField, target: int):
     return np.asarray(seq, dtype=np.int64), np.asarray(arc)
 
 
-def path_values(surface: ConeSurface, graph_h: float, nodes: np.ndarray,
-                vertex_values: np.ndarray) -> np.ndarray:
-    """Values of a PL vertex function at graph nodes along a traced path."""
-    return surface.graph(graph_h).node_values(vertex_values)[nodes]
-
-
-class _VertexFan:
-    """Cyclic (or arc) ordering of the corners incident to a vertex.
-
-    Assigns every incident edge an angular coordinate in [0, cone_angle);
-    for boundary vertices the fan is an open arc starting at one boundary
-    edge.
-    """
-
-    def __init__(self, surf: ConeSurface, p: int):
-        self.surface = surf
-        self.p = p
-        corners = surf.vertex_corners(p)
-        if len(corners) == 0:
-            raise DomainError(f"vertex {p} has no incident faces")
-        faces, corner = np.divmod(corners, 3)
-        # the two sides at corner t are the other two, in ascending order
-        other = np.sort([(corner + 1) % 3, (corner + 2) % 3], axis=0).T
-        sides = surf.face_edge[faces[:, None], other]
-        by_edge: dict[int, list[int]] = {}  # edge at p -> the corners on it
-        for k, pair in enumerate(sides.tolist()):
-            for e in pair:
-                by_edge.setdefault(e, []).append(k)
-        # start at a boundary edge when p lies on the boundary
-        boundary = [e for e in by_edge if surf.edge_faces[e, 1] < 0]
-        start_edge = boundary[-1] if boundary else min(by_edge)
-        self.edge_angle: dict[int, float] = {start_edge: 0.0}
-        self.corner_base: dict[int, tuple[float, int]] = {}  # face -> (base angle, enter edge)
-        used = set()
-        cur_edge = start_edge
-        acc = 0.0
-        # the corners at p form one fan (build_surface checks it), so the walk
-        # from corner to corner across shared edges visits them all
-        while True:
-            k = next((k for k in by_edge[cur_edge] if k not in used), None)
-            if k is None:
-                break
-            used.add(k)
-            f = int(faces[k])
-            self.corner_base[f] = (acc, cur_edge)
-            # exit edge: the other side at the corner
-            a, b = sides[k]
-            exit_edge = int(b if a == cur_edge else a)
-            acc += surf.corner_angle[f, corner[k]]
-            self.edge_angle.setdefault(exit_edge, acc)
-            cur_edge = exit_edge
-        self.total = acc
-
-    def angle_of_segment(self, graph: _SteinerGraph, first_node: int) -> float:
-        """Angular coordinate of the segment from p toward a graph node."""
-        surf = self.surface
-        p = self.p
-        pos = graph.node_position(first_node)
-        if pos is None:
-            # neighbor vertex: segment runs along a mesh edge
-            e = surf.edge_index[p, first_node]
-            return self.edge_angle[e] % max(self.total, 1e-300)
-        e, t = pos
-        a, b = surf.edges[e]
-        if a == p or b == p:
-            return self.edge_angle[e] % max(self.total, 1e-300)
-        # segment crosses a face: find the face containing both p and edge e
-        fs = surf.edge_faces[e]
-        fs = fs[(fs >= 0) & (surf.faces[fs] == p).any(axis=1)]
-        if len(fs) == 0:
-            raise DomainError(
-                f"graph node {first_node} is not adjacent to vertex {p}"
-            )
-        f = int(fs[0])
-        charts = surf.charts()
-        loc = {int(surf.faces[f, s]): s for s in range(3)}
-        x = charts[f, loc[int(a)]] + t * (charts[f, loc[int(b)]] - charts[f, loc[int(a)]])
-        base, enter_edge = self.corner_base[f]
-        u, v = surf.edges[enter_edge]
-        other = int(v) if int(u) == p else int(u)
-        vec_edge = charts[f, loc[other]] - charts[f, loc[p]]
-        vec_seg = x - charts[f, loc[p]]
-        cosang = np.dot(vec_edge, vec_seg) / (
-            np.linalg.norm(vec_edge) * np.linalg.norm(vec_seg)
-        )
-        alpha = math.acos(min(1.0, max(-1.0, float(cosang))))
-        return (base + alpha) % max(self.total, 1e-300)
-
-
 def initial_direction(space: ConeSurface, p: int, q: int, h: float,
                       cache: DistanceCache | None = None) -> float:
-    """Angular coordinate in the direction space at p of a shortest path p -> q."""
+    """Direction at p of a shortest path p -> q, as a coordinate in [0, cone angle].
+
+    The coordinate is an angle about p.  It is 0 along the start edge: the
+    boundary edge listed last if p lies on the boundary, else the edge at p
+    with the smallest id (edges listed as the sides of the corners at p, in
+    face order, each corner's two sides in side order).  From there it
+    walks the corners at p across shared edges and sums their angles: each
+    edge at p sits at the sum of the corners walked before it, and a
+    direction inside a corner adds its angle from the edge the walk entered
+    that corner by.  At an interior vertex the walk closes, so the
+    coordinate is a circle whose length is the cone angle; at a boundary
+    vertex it is the arc from the start edge, at 0, to the other boundary
+    edge, at the cone angle.  The cone angle here is the corner angles
+    summed in walk order, which may differ from ``cone_angle[p]`` in the
+    last bits.  Against an embedding, the walk turns either way about p,
+    as the start corner leads.  The direction is that of the traced graph
+    path's first segment.
+    """
     if p == q:
         raise DomainError("initial_direction needs q != p")
     fld = cache.field(p) if cache is not None else distance_field(space, p, h)
     nodes, _ = trace_shortest_path(fld, q)
-    return _VertexFan(space, p).angle_of_segment(space.graph(fld.h), int(nodes[1]))
+    graph = space.graph(fld.h)
+
+    # corners 3 f + t at p, in face order; slot 2 k + j holds the j-th of
+    # the two sides at corner k, in side order
+    corners = np.flatnonzero(space.faces.ravel() == p)
+    f, t = np.divmod(corners, 3)
+    side = np.array([[1, 2], [0, 2], [0, 1]])[t]
+    slot_edge = space.face_edge[f[:, None], side].ravel()
+    # mate: the other slot on the same edge, -1 on a boundary edge
+    order = np.argsort(slot_edge, kind="stable")
+    pair = slot_edge[order[1:]] == slot_edge[order[:-1]]
+    mate = np.full(len(slot_edge), -1)
+    mate[order[1:][pair]] = order[:-1][pair]
+    mate[order[:-1][pair]] = order[1:][pair]
+    boundary = np.flatnonzero(space.edge_faces[slot_edge, 1] < 0)
+    entry = [int(boundary[-1]) if len(boundary) else int(np.argmin(slot_edge))]
+    # the corners at p form one fan (build_surface checks it), so leaving
+    # each corner by its other side into the mate's corner visits them all
+    mate = mate.tolist()
+    for _ in range(len(corners) - 1):
+        entry.append(mate[entry[-1] ^ 1])
+    walk = [s // 2 for s in entry]
+    # angle[i] is the coordinate of edge_at[i]: the start edge, then the
+    # edge each corner is left by; angle[i] is also the base of walk[i]
+    slot_edge = slot_edge.tolist()
+    edge_at = [slot_edge[entry[0]]] + [slot_edge[s ^ 1] for s in entry]
+    angle = np.zeros(len(walk) + 1)
+    np.cumsum(space.corner_angle[f[walk], t[walk]], out=angle[1:])
+
+    node = int(nodes[1])
+    V = space.n_vertices
+    e = space.edge_index[p, node] if node < V else int(graph.steiner_edge[node - V])
+    if p in space.edges[e]:
+        return float(angle[edge_at.index(e)])
+    # the segment crosses the first face at p opposite edge e, to the
+    # Steiner node on e, at an angle from the edge the walk entered by
+    k = int(np.argmax(space.face_edge[f, t] == e))
+    i = walk.index(k)
+    chart = space.charts()[f[k]]
+    a, b = (space.faces[f[k]].tolist().index(v) for v in space.edges[e])
+    x = chart[a] + graph.steiner_frac[node - V] * (chart[b] - chart[a])
+    at_p = chart[t[k]]
+    vec_edge = chart[3 - t[k] - side[k, entry[i] % 2]] - at_p
+    vec_seg = x - at_p
+    cosang = np.dot(vec_edge, vec_seg) / (np.linalg.norm(vec_edge) * np.linalg.norm(vec_seg))
+    return float(angle[i] + math.acos(min(1.0, max(-1.0, float(cosang)))))
 
 
 def toponogov_check(space: ConeSurface, cache: DistanceCache,
@@ -1102,13 +1057,14 @@ def load_off(path, declared_k: float = 0.0) -> ConeSurface:
     - V vertex lines ``x y z`` of finite coordinates;
     - F face lines ``3 i j k`` of vertex ids in [0, V);
     - optionally the marker ``#lengths``, then any number of edge records
-      ``i j L`` with vertex ids in [0, V) and a length L > 0.
+      ``i j L`` with vertex ids in [0, V) and a finite length L > 0.
 
-    A record overrides the embedding distance of the face side it names,
-    and a record that names no face side is an error.  Records of one edge
-    must agree to 1e-9 relative (else InconsistentGluingError); the last
-    one is used.  Blank lines and lines whose first non-blank character is
-    '#' are comments, except the marker itself.  Lines end in LF or CRLF.
+    Every vertex must lie on a face.  A record overrides the embedding
+    distance of the face side it names, and a record that names no face
+    side is an error.  Records of one edge must agree to 1e-9 relative
+    (else InconsistentGluingError); the last one is used.  Blank lines and
+    lines whose first non-blank character is '#' are comments, except the
+    marker itself.  Lines end in LF or CRLF.
 
     A malformed file raises MeshFormatError naming the file and its first
     bad line; each line is checked for its token count, then its
@@ -1160,7 +1116,7 @@ def load_off(path, declared_k: float = 0.0) -> ConeSurface:
             raise ValueError("length line must be 'i j L'")
         ij = _convert([r[:2] for r in rows], np.int64, "bad length record").reshape(-1, 2)
         L = _convert([r[2] for r in rows], float, "bad length record")
-        bad = np.isnan(L) | (L <= 0)
+        bad = ~(np.isfinite(L) & (L > 0))
         if bad.any():
             raise ValueError(f"invalid edge length {L[_first(bad)]}")
         if ((ij < 0) | (ij >= nv)).any():
@@ -1203,4 +1159,8 @@ def load_off(path, declared_k: float = 0.0) -> ConeSurface:
         return out
 
     embedding = coords if np.any(coords) else None
-    return build_surface(faces, lengths, declared_k=declared_k, embedding=embedding)
+    surf = build_surface(faces, lengths, declared_k=declared_k, embedding=embedding)
+    # build_surface counts the vertices up to the largest face id
+    if surf.n_vertices < nv:
+        fail(nums[2 + surf.n_vertices], "vertex is in no face")
+    return surf

@@ -20,7 +20,6 @@ from alexlab.space import (
     distance_field,
     flat_disk,
     flat_torus,
-    path_values,
     trace_shortest_path,
 )
 
@@ -151,7 +150,7 @@ def test_semiconcavity_along_geodesic():
     b = int(np.argmin(np.linalg.norm(xy - [0.5, 0.05], axis=1)))
     path_field = cache.field(a)
     nodes, arcs = trace_shortest_path(path_field, b)
-    vals = path_values(disk, cache.h, nodes, res.values)
+    vals = disk.graph(cache.h).node_values(res.values)[nodes]
     keep = slice(1, -1)
     for m in range(2, len(nodes) - 2):
         s1 = arcs[m] - arcs[m - 1]

@@ -1,5 +1,6 @@
-"""Every name a module imports is used in that module, and every console
-script in pyproject.toml resolves."""
+"""Every name a module imports is used in that module, every private
+definition in alexlab is referred to, and every console script in
+pyproject.toml resolves."""
 
 import ast
 import importlib
@@ -35,6 +36,47 @@ def test_unused_import_is_reported(tmp_path):
     mod = tmp_path / "mod.py"
     mod.write_text("import math\nfrom os import path, sep as s\nprint(path)\n")
     assert unused_imports(mod) == [(1, "math"), (2, "s")]
+
+
+def unused_private_definitions(paths):
+    """(file name, line, name) of each private function, class or method in
+    `paths` that no name or attribute in `paths` refers to; dunders are
+    exempt."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    found = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and node.name not in used):
+                found.append((path.name, node.lineno, node.name))
+    return sorted(found)
+
+
+def test_every_private_definition_is_used():
+    assert unused_private_definitions(sorted(SRC.glob("*.py"))) == []
+
+
+def test_unused_private_definition_is_reported(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def _used():\n    return 1\n\n\n"
+        "def _unused():\n    pass\n\n\n"
+        "class _Box:\n"
+        "    def __init__(self):\n        self.x = _used()\n\n"
+        "    def _get(self):\n        return self.x\n\n"
+        "    def _spare(self):\n        pass\n\n\n"
+        "print(_Box()._get())\n"
+    )
+    assert unused_private_definitions([mod]) == [("mod.py", 5, "_unused"), ("mod.py", 16, "_spare")]
 
 
 def test_console_scripts_resolve():

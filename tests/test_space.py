@@ -255,6 +255,68 @@ def test_initial_direction_errors():
         initial_direction(disk, 3, 3, 0.1)
 
 
+def test_initial_direction_spans_the_boundary_arc():
+    # at a boundary vertex the directions run over [0, cone angle], from one
+    # rim edge to the other; the far rim edge is not wrapped back to 0
+    disk = flat_disk(1.0, 0.1)
+    p, rim = 304, [303, 305]
+    assert disk.boundary_vertex[[p] + rim].all()
+    assert disk.cone_angle[p] == pytest.approx(3.0419, abs=1e-4)
+    angs = sorted(initial_direction(disk, p, q, 0.05) for q in rim)
+    assert angs[0] == 0.0
+    assert angs[1] == pytest.approx(disk.cone_angle[p], abs=1e-12)
+
+
+def first_segment_azimuth(surf, graph, p, node):
+    """Azimuth at p of the segment to a graph node, from the embedding of a
+    flat surface or, at the apex of a cone_disk, from its cone coordinates."""
+    V = surf.n_vertices
+    if surf.embedding is not None:
+        xy = surf.embedding
+        x, y = graph.node_values(xy[:, 0])[node], graph.node_values(xy[:, 1])[node]
+        return math.atan2(y - xy[p, 1], x - xy[p, 0])
+    assert p == 0
+    phi = surf.cone_coords[:, 1]
+    if node < V:
+        return phi[node]
+    a, b = surf.edges[graph.steiner_edge[node - V]]
+    t = graph.steiner_frac[node - V]
+    if a == p:
+        return phi[b]
+    # unroll face (p, a, b): b lies dphi past a, both on the first ring
+    theta = surf.cone_angle[p]
+    dphi = (phi[b] - phi[a] + theta / 2) % theta - theta / 2
+    return phi[a] + math.atan2(t * math.sin(dphi), 1 - t + t * math.cos(dphi))
+
+
+@pytest.mark.parametrize("make, sources", [
+    (lambda: flat_disk(1.0, 0.1), [0, 40, 150, 250]),
+    (lambda: cone_disk(math.pi / 2, 1.0, 0.1), [0]),
+    (lambda: cone_disk(math.pi, 1.0, 0.1), [0]),
+    (lambda: cone_disk(2 * math.pi, 1.0, 0.1), [0]),
+], ids=["flat_disk", "cone_half_pi", "cone_pi", "cone_two_pi"])
+def test_initial_direction_is_first_segment_azimuth(make, sources):
+    # the coordinate is the azimuth of the path's first segment plus one
+    # constant, mod the cone angle, in the sense the walk turns (+1 or -1)
+    surf = make()
+    h = 0.4 * surf.mesh_h
+    cache = DistanceCache(surf, h)
+    graph = surf.graph(h)
+    for p in sources:
+        assert not surf.boundary_vertex[p]
+        period = surf.cone_angle[p]
+        fld = cache.field(p)
+        targets = [q for q in range(surf.n_vertices) if q != p]
+        got = np.array([initial_direction(surf, p, q, h, cache) for q in targets])
+        az = np.array([first_segment_azimuth(surf, graph, p, trace_shortest_path(fld, q)[0][1])
+                       for q in targets])
+        spread = []
+        for sense in (1, -1):
+            d = got - sense * az
+            spread.append(np.abs((d - d[0] + period / 2) % period - period / 2).max())
+        assert min(spread) <= 1e-12
+
+
 def test_toponogov_flat_torus():
     torus = flat_torus(1.0, 1 / 12)
     cache = DistanceCache(torus, 1 / 24)
@@ -505,6 +567,8 @@ TRIANGLE_LENGTHS = TRIANGLE_OFF + "#lengths\n"
     (TRIANGLE_LENGTHS + "0 1 x\n", 8, "bad length record"),
     (TRIANGLE_LENGTHS + "0 3 -1\n", 8, "invalid edge length -1.0"),
     (TRIANGLE_LENGTHS + "0 1 1\n# note\n1 2 1.5\n0 2 0\n", 11, "invalid edge length 0.0"),
+    (TRIANGLE_LENGTHS + "0 1 inf\n", 8, "invalid edge length inf"),
+    ("OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n3 0 1 2\n", 6, "vertex is in no face"),
 ])
 def test_off_error_names_file_and_line(text, line, message, tmp_path):
     path = tmp_path / "m.off"
@@ -680,3 +744,86 @@ def test_steiner_graph_matches_loop_reference(name, spacing, tmp_path):
     d_ref = csgraph.dijkstra(ref, directed=False, indices=np.arange(V))[:, :V]
     d_new = csgraph.dijkstra(g.matrix, directed=False, indices=np.arange(V))[:, :V]
     assert np.array_equal(d_ref, d_new)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the array walk of initial_direction against the dict walk
+# ---------------------------------------------------------------------------
+
+
+def loop_initial_direction(surf, graph, p, node):
+    """Reference direction at p toward the first path node `node`.
+
+    Walks the corners at p with dict tables (edge -> corners, edge ->
+    angle, face -> base angle) and takes every coordinate mod the fan
+    total.  Returns (direction, fan total).
+    """
+    corners = np.flatnonzero(surf.faces.ravel() == p)
+    faces, corner = np.divmod(corners, 3)
+    other = np.sort([(corner + 1) % 3, (corner + 2) % 3], axis=0).T
+    sides = surf.face_edge[faces[:, None], other]
+    by_edge = {}
+    for k, pair in enumerate(sides.tolist()):
+        for e in pair:
+            by_edge.setdefault(e, []).append(k)
+    boundary = [e for e in by_edge if surf.edge_faces[e, 1] < 0]
+    start_edge = boundary[-1] if boundary else min(by_edge)
+    edge_angle = {start_edge: 0.0}
+    corner_base = {}
+    used = set()
+    cur_edge, total = start_edge, 0.0
+    while True:
+        k = next((k for k in by_edge[cur_edge] if k not in used), None)
+        if k is None:
+            break
+        used.add(k)
+        f = int(faces[k])
+        corner_base[f] = (total, cur_edge)
+        a, b = sides[k]
+        exit_edge = int(b if a == cur_edge else a)
+        total += surf.corner_angle[f, corner[k]]
+        edge_angle.setdefault(exit_edge, total)
+        cur_edge = exit_edge
+    V = surf.n_vertices
+    if node < V:
+        return edge_angle[surf.edge_index[p, node]] % total, total
+    e, t = int(graph.steiner_edge[node - V]), float(graph.steiner_frac[node - V])
+    a, b = surf.edges[e]
+    if a == p or b == p:
+        return edge_angle[e] % total, total
+    fs = surf.edge_faces[e]
+    f = int(fs[(fs >= 0) & (surf.faces[fs] == p).any(axis=1)][0])
+    charts = surf.charts()
+    loc = {int(surf.faces[f, s]): s for s in range(3)}
+    x = charts[f, loc[int(a)]] + t * (charts[f, loc[int(b)]] - charts[f, loc[int(a)]])
+    base, enter_edge = corner_base[f]
+    u, v = surf.edges[enter_edge]
+    vec_edge = charts[f, loc[int(v) if int(u) == p else int(u)]] - charts[f, loc[p]]
+    vec_seg = x - charts[f, loc[p]]
+    cosang = np.dot(vec_edge, vec_seg) / (np.linalg.norm(vec_edge) * np.linalg.norm(vec_seg))
+    alpha = math.acos(min(1.0, max(-1.0, float(cosang))))
+    return (base + alpha) % total, total
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_MESHES))
+def test_initial_direction_matches_loop_reference(name, tmp_path):
+    surf = DIFFERENTIAL_MESHES[name](tmp_path)
+    h = 0.3 * surf.mesh_h
+    cache = DistanceCache(surf, h)
+    graph = surf.graph(h)
+    inner = np.flatnonzero(~surf.boundary_vertex)
+    rim = np.flatnonzero(surf.boundary_vertex)
+    sources = [int(v) for side in (inner, rim) for v in side[:: max(1, len(side) // 3)][:3]]
+    far_edge = 0
+    for p in sources:
+        fld = cache.field(p)
+        for q in range(surf.n_vertices):
+            if q == p:
+                continue
+            got = initial_direction(surf, p, q, h, cache)
+            want, total = loop_initial_direction(surf, graph, p, trace_shortest_path(fld, q)[0][1])
+            if got != want:  # bit for bit, except along the far boundary edge:
+                # the end of the arc, where the reference wraps to 0
+                assert surf.boundary_vertex[p] and want == 0.0 and got == total
+                far_edge += 1
+    assert (far_edge > 0) == (len(rim) > 0)
