@@ -1,12 +1,16 @@
 """Hopf-Lax infimal convolution Q_t u and its audits.
 
 Q_t u(x) = min over vertices y of u(y) + d(x, y)^2 / (2t), with d the
-Steiner-graph distance.  The minimum is pruned per source x to the ball
-d <= sqrt(2 t (u(x) - min u)): any y improving on the y = x candidate
-satisfies d^2 <= 2t (u(x) - u(y)), so this ball contains every minimizer
-and the pruned value equals the min over any larger ball.  Hence the
-distance ball that `DistanceCache` keeps for x serves every smaller t,
-and every later call whose radius at x it covers, without a new sweep.
+Steiner-graph distance.  The minimum is pruned per source x to a ball:
+any y at least as good as the y = x candidate satisfies
+d^2 <= 2t (u(x) - u(y)).  The right side is at most 2t (u(x) - min u),
+and at most 2t Lip d, with Lip the largest face-gradient norm of the PL
+function u, because the graph distance d is at least the intrinsic one.
+So the ball of radius min(sqrt(2t (u(x) - min u)), 2t Lip) holds every
+minimizer, and the pruned value and foot equal those over any larger
+ball.  `DistanceCache` keeps one distance ball per source; it serves
+every later call whose radius at x it covers without a new sweep, and
+hands out only the entries within the radius asked for.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ class HopfLaxResult:
     values: np.ndarray
     foot: np.ndarray        # vertex id of the minimizer, smallest id on ties
     foot_dist: np.ndarray   # graph distance to the foot point
-    prune_radius: float     # largest per-source pruning radius, sqrt(2t osc u) + pad
+    prune_radius: float     # largest per-source radius, min(sqrt(2t osc u), 2t Lip u) + pad
 
     def as_plfunction(self) -> PLFunction:
         return PLFunction(self.surface, self.values)
@@ -44,10 +48,11 @@ def hopf_lax(space: ConeSurface, cache: DistanceCache, u: PLFunction,
     """Evaluate Q_t u at every vertex.
 
     Each source x reads its distance ball of radius
-    sqrt(2t (u(x) - min u)) + PRUNE_PAD from `cache`, which sweeps only
-    the sources whose stored ball is smaller.  Q_t u(x) is the minimum of
-    u(y) + d^2/(2t) over the ball's row; the foot is the first column
-    attaining it, which is the smallest vertex id since rows ascend.
+    min(sqrt(2t (u(x) - min u)), 2t Lip) + PRUNE_PAD from `cache`, with Lip
+    the largest face-gradient norm of u; the cache sweeps only the sources
+    whose stored ball is smaller.  Q_t u(x) is the minimum of
+    u(y) + d^2/(2t) over the ball; the foot is the smallest vertex id
+    attaining it.
     """
     _check_host(space, u)
     if t <= 0:
@@ -58,17 +63,18 @@ def hopf_lax(space: ConeSurface, cache: DistanceCache, u: PLFunction,
     values = np.empty(V)
     foot = np.empty(V, dtype=np.int64)
     fdist = np.empty(V)
-    radii = np.sqrt(np.maximum(2.0 * t * (uv - umin), 0.0)) + PRUNE_PAD
+    lip = math.sqrt(float(face_gradient(space, u).face_sq.max()))
+    radii = np.minimum(np.sqrt(np.maximum(2.0 * t * (uv - umin), 0.0)),
+                       2.0 * t * lip) + PRUNE_PAD
     for idx, ptr, ids, d in cache.ball_chunks(np.arange(V), radii):
+        size = np.diff(ptr)
         cand = uv[ids] + d * d / (2.0 * t)
         best = np.minimum.reduceat(cand, ptr[:-1])
-        at_best = cand == np.repeat(best, np.diff(ptr))
-        first = np.minimum.reduceat(
-            np.where(at_best, np.arange(len(cand)), len(cand)), ptr[:-1]
-        )
+        tied = np.where(cand == np.repeat(best, size), ids, V)
+        low = np.minimum.reduceat(tied, ptr[:-1])
         values[idx] = best
-        foot[idx] = ids[first]
-        fdist[idx] = d[first]
+        foot[idx] = low
+        fdist[idx] = d[tied == np.repeat(low, size)]
     return HopfLaxResult(space, t, values, foot, fdist, float(radii.max()))
 
 
@@ -79,8 +85,8 @@ def interior_margin_mask(space: ConeSurface, cache: DistanceCache,
     if space.is_closed:
         return inner
     bvs = np.flatnonzero(space.boundary_vertex)
-    for _, _, ids, d in cache.ball_chunks(bvs, margin):
-        inner[ids[d <= margin]] = False
+    for _, _, ids, _ in cache.ball_chunks(bvs, margin):
+        inner[ids] = False
     return inner
 
 

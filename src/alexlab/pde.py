@@ -202,8 +202,8 @@ def first_nonzero_eigenpair(space: ConeSurface, op: DirichletOperator,
     )
 
 
-def solve_closed_harmonic(space: ConeSurface, op: DirichletOperator, f=None,
-                          tol: float = 1e-12) -> PLFunction:
+def solve_closed_harmonic(space: ConeSurface, op: DirichletOperator,
+                          f=None) -> PLFunction:
     """Zero-mean solution of L_u = f vol on a closed surface.
 
     With f = 0 this converges to the zero-mean element of the stiffness

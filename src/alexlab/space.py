@@ -763,8 +763,9 @@ def distance_field(space: ConeSurface, source: int, h: float) -> DistanceField:
     if not 0 <= source < space.n_vertices:
         raise DomainError(f"source vertex {source} out of range")
     g = space.graph(h)
+    # directed=True: the matrix is exactly symmetric (see _min_coo)
     dist, pred = csgraph.dijkstra(
-        g.matrix, directed=False, indices=source, return_predecessors=True
+        g.matrix, directed=True, indices=source, return_predecessors=True
     )
     return DistanceField(
         surface=space,
@@ -782,15 +783,18 @@ class DistanceCache:
     It holds two kinds of entry:
 
     - full distance fields with predecessors, per source (:meth:`field`);
-    - one truncated distance ball per source vertex (:meth:`ball_chunks`):
-      the ascending ids of the vertices within the ball's covered radius
-      and their float64 graph distances.
+    - one truncated distance ball per source vertex (:meth:`ball_chunks`),
+      all in one CSR: row v is ``_ids[_ptr[v]:_ptr[v + 1]]`` (int32 vertex
+      ids) with their float64 graph distances ``_dist[_ptr[v]:_ptr[v + 1]]``,
+      in ascending distance with ties in ascending id, out to the radius
+      ``_covered[v]``.
 
-    A ball request for a radius at most the covered one runs no sweep; a
-    larger radius sweeps that source again and replaces its ball.  Stored
-    balls take at most ``BALL_CACHE_BYTES`` (``ball_bytes`` counts them);
-    a ball that would exceed the cap is used by the request that swept it
-    and then dropped.
+    A ball request for a radius at most the covered one runs no sweep and
+    reads the row's prefix within the radius asked for; a larger radius
+    sweeps that source again and replaces its row.  Stored rows take at
+    most ``BALL_CACHE_BYTES`` (``ball_bytes`` counts them); a ball that
+    would exceed the cap serves the request that swept it and is then
+    dropped.
     """
 
     def __init__(self, space: ConeSurface, h: float):
@@ -798,10 +802,14 @@ class DistanceCache:
         self.h = float(h)
         self._fields: dict[int, DistanceField] = {}
         V = space.n_vertices
-        self._covered = np.full(V, -np.inf)  # radius each stored ball covers
-        self._ball_ids: list[np.ndarray | None] = [None] * V
-        self._ball_dist: list[np.ndarray | None] = [None] * V
-        self.ball_bytes = 0
+        self._covered = np.full(V, -np.inf)  # radius each stored row covers
+        self._ptr = np.zeros(V + 1, dtype=np.int64)
+        self._ids = np.empty(0, dtype=np.int32)
+        self._dist = np.empty(0)
+
+    @property
+    def ball_bytes(self) -> int:
+        return self._ids.nbytes + self._dist.nbytes
 
     def field(self, source: int) -> DistanceField:
         fld = self._fields.get(source)
@@ -822,7 +830,9 @@ class DistanceCache:
         step = max(1, int(BLOCK_CELLS // max(g.n_nodes, 1)))
         for lo in range(0, len(sources), step):
             idx = sources[lo : lo + step]
-            d = csgraph.dijkstra(g.matrix, directed=False, indices=idx, limit=limit)
+            # directed=True reads the matrix as given: _min_coo makes it
+            # exactly symmetric, so this equals the undirected search
+            d = csgraph.dijkstra(g.matrix, directed=True, indices=idx, limit=limit)
             out[lo : lo + step] = d[:, :V]
         return out
 
@@ -832,41 +842,132 @@ class DistanceCache:
         `radii` is one radius per source, or one for all.  Yields
         ``(idx, ptr, ids, dist)`` per chunk of at most ``BALL_CHUNK``
         sources: row k belongs to source ``idx[k]`` and is
-        ``ids[ptr[k]:ptr[k+1]]`` (ascending vertex ids) with graph
-        distances ``dist[ptr[k]:ptr[k+1]]``.  A row holds every vertex
-        within the requested radius of its source, and may hold vertices
-        farther out, up to the radius its stored ball covers.  The sources
-        of a chunk whose balls are missing or too small are swept together
-        by one :meth:`vertex_block` call.
+        ``ids[ptr[k]:ptr[k+1]]`` with graph distances
+        ``dist[ptr[k]:ptr[k+1]]``.  A row holds exactly the vertices within
+        the requested radius of its source, in ascending distance with ties
+        in ascending id.  The sources of a chunk whose stored balls are
+        missing or too small are swept together by one :meth:`vertex_block`
+        call; their rows come last in the chunk, and enter the store when
+        the request ends.
         """
         sources = np.asarray(sources, dtype=np.int64)
         radii = np.broadcast_to(np.asarray(radii, dtype=float), sources.shape)
         order = np.argsort(-radii, kind="stable")
-        for lo in range(0, len(order), BALL_CHUNK):
-            pick = order[lo : lo + BALL_CHUNK]
-            idx, r = sources[pick], radii[pick]
-            ids = [self._ball_ids[s] for s in idx]
-            dist = [self._ball_dist[s] for s in idx]
-            miss = np.flatnonzero(self._covered[idx] < r)
-            if len(miss):
-                block = self.vertex_block(idx[miss], limit=float(r[miss].max()))
-                for k, row in zip(miss, block):
-                    keep = np.flatnonzero(row <= r[k])
-                    ids[k], dist[k] = keep.astype(np.int32), row[keep]
-                    self._store(int(idx[k]), float(r[k]), ids[k], dist[k])
-            ptr = np.zeros(len(idx) + 1, dtype=np.int64)
-            np.cumsum([len(a) for a in ids], out=ptr[1:])
-            yield idx, ptr, np.concatenate(ids), np.concatenate(dist)
+        swept = []
+        try:
+            for lo in range(0, len(order), BALL_CHUNK):
+                pick = order[lo : lo + BALL_CHUNK]
+                idx, r = sources[pick], radii[pick]
+                miss = self._covered[idx] < r
+                ptr, ids, dist = self._read(idx[~miss], r[~miss])
+                if miss.any():
+                    swept.append(self._sweep(idx[miss], r[miss]))
+                    _, _, s_ptr, s_ids, s_dist = swept[-1]
+                    idx = np.concatenate([idx[~miss], idx[miss]])
+                    ptr = np.concatenate([ptr, ptr[-1] + s_ptr[1:]])
+                    ids = np.concatenate([ids, s_ids])
+                    dist = np.concatenate([dist, s_dist])
+                yield idx, ptr, ids, dist
+        finally:
+            self._store(swept)
 
-    def _store(self, source: int, radius: float, ids, dist) -> None:
-        """Keep a swept ball in place of the stored one, within the byte cap."""
-        old = self._ball_ids[source]
-        freed = 0 if old is None else old.nbytes + self._ball_dist[source].nbytes
-        grown = self.ball_bytes - freed + ids.nbytes + dist.nbytes
-        if grown <= BALL_CACHE_BYTES:
-            self._ball_ids[source], self._ball_dist[source] = ids, dist
-            self._covered[source] = radius
-            self.ball_bytes = grown
+    def _read(self, idx, r):
+        """Stored rows of `idx`, each trimmed to its radius: (ptr, ids, dist)."""
+        lo = self._ptr[idx]
+        # per row, bisect for the count n of leading entries within r
+        a, n = lo.copy(), self._ptr[idx + 1] - lo
+        top = len(self._dist) - 1
+        for _ in range(int(n.max(initial=0)).bit_length()):
+            half = n >> 1
+            mid = a + half
+            inside = (self._dist[np.minimum(mid, top)] <= r) & (n > 0)
+            a = np.where(inside, mid + 1, a)
+            n = np.where(inside, n - half - 1, half)
+        ptr = np.zeros(len(idx) + 1, dtype=np.int64)
+        np.cumsum(a - lo, out=ptr[1:])
+        at = _row_entries(lo, a - lo)
+        return ptr, self._ids[at], self._dist[at]
+
+    def _sweep(self, idx, r):
+        """Balls of `idx` within radii `r`, fresh from one vertex_block call.
+
+        Returns (idx, r, ptr, ids, dist), rows in ascending distance with
+        ties in ascending id.  Only the entries within r are sorted: a
+        stable sort by distance of the block's row-major entries, then a
+        stable sort by row, whose small integer keys numpy sorts by radix.
+        """
+        block = self.vertex_block(idx, limit=float(r.max()))
+        row, col = np.nonzero(block <= r[:, None])
+        dist = block[row, col]
+        del block
+        order = np.argsort(dist, kind="stable")
+        order = order[np.argsort(row[order].astype(np.min_scalar_type(len(idx))),
+                                 kind="stable")]
+        ptr = np.zeros(len(idx) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=len(idx)), out=ptr[1:])
+        return idx, r, ptr, col[order].astype(np.int32), dist[order]
+
+    def _store(self, swept) -> None:
+        """Put swept rows in place of the stored ones, within the byte cap.
+
+        A source keeps its largest swept ball, if it covers more than the
+        stored one; such rows enter in sweep order until the next would
+        pass the cap.  A row that covers more holds at least as many
+        entries, so the store grows in place: each run of kept rows moves
+        up by the entries inserted before it, then the swept rows are
+        scattered into their new slots.
+        """
+        if not swept:
+            return
+        src = np.concatenate([s[0] for s in swept])
+        r = np.concatenate([s[1] for s in swept])
+        size = np.concatenate([np.diff(s[2]) for s in swept])
+        by_src = np.lexsort((-r, src))
+        top = np.zeros(len(src), dtype=bool)
+        top[by_src[np.r_[True, src[by_src][1:] != src[by_src][:-1]]]] = True
+        take = top & (r > self._covered[src])
+        old = np.diff(self._ptr)
+        grow = np.where(take, size - old[src], 0) * (
+            self._ids.itemsize + self._dist.itemsize)
+        take &= np.cumsum(grow) <= BALL_CACHE_BYTES - self.ball_bytes
+        if not take.any():
+            return
+        length = old.copy()
+        length[src[take]] = size[take]
+        ptr = np.zeros_like(self._ptr)
+        np.cumsum(length, out=ptr[1:])
+        # no view of the buffers outlives a call, so they can grow in place
+        self._ids.resize(ptr[-1], refcheck=False)
+        self._dist.resize(ptr[-1], refcheck=False)
+        changed = np.zeros(len(old), dtype=bool)
+        changed[src[take]] = True
+        # runs [first, stop) of kept rows, last first, so none is overwritten
+        # before it moves
+        edge = np.flatnonzero(np.diff(np.r_[True, changed, True]))
+        for first, stop in zip(edge[-2::-2], edge[:0:-2]):
+            a, b = self._ptr[first], self._ptr[stop]
+            shift = ptr[first] - a
+            if b > a and shift:
+                self._ids[a + shift : b + shift] = self._ids[a:b]
+                self._dist[a + shift : b + shift] = self._dist[a:b]
+        lo = 0
+        for s_idx, s_r, s_ptr, s_ids, s_dist in swept:
+            rows = np.flatnonzero(take[lo : lo + len(s_idx)])
+            lo += len(s_idx)
+            n_row = np.diff(s_ptr)[rows]
+            at = _row_entries(s_ptr[rows], n_row)
+            to = _row_entries(ptr[s_idx[rows]], n_row)
+            self._ids[to] = s_ids[at]
+            self._dist[to] = s_dist[at]
+            self._covered[s_idx[rows]] = s_r[rows]
+        self._ptr = ptr
+
+
+def _row_entries(start, length):
+    """Flat positions of the rows [start, start + length), in row order."""
+    ptr = np.zeros(len(length) + 1, dtype=np.int64)
+    np.cumsum(length, out=ptr[1:])
+    return np.repeat(start - ptr[:-1], length) + np.arange(ptr[-1])
 
 
 def trace_shortest_path(field: DistanceField, target: int):

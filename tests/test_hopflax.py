@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from alexlab.calculus import PLFunction
+from alexlab.calculus import PLFunction, face_gradient, lip_field
 from alexlab.exceptions import DomainError
 from alexlab import space as space_mod
 from alexlab.hopflax import (
@@ -281,7 +281,10 @@ def _assert_same(space, cache, u, t):
     assert np.array_equal(got.values, values)
     assert np.array_equal(got.foot, foot)
     assert np.array_equal(got.foot_dist, fdist)
-    assert got.prune_radius == radius
+    lip = math.sqrt(float(face_gradient(space, u).face_sq.max()))
+    osc = float(u.values.max() - u.values.min())
+    assert got.prune_radius == min(math.sqrt(2.0 * t * osc), 2.0 * t * lip) + PRUNE_PAD
+    assert got.prune_radius <= radius
     return got
 
 
@@ -359,3 +362,68 @@ def test_ball_cache_byte_cap(monkeypatch, disk):
         mask = interior_margin_mask(disk, capped, 0.25)
         assert np.array_equal(mask, dense_margin_mask(disk, full, 0.25))
         assert 0 < capped.ball_bytes <= budget
+
+
+def test_ball_rows_hold_exactly_the_requested_ball(disk):
+    cache = DistanceCache(disk, disk.mesh_h)
+    dense = cache.vertex_block(np.arange(disk.n_vertices))
+    rng = np.random.default_rng(3)
+    src = rng.permutation(disk.n_vertices)[:300]
+    # a large radius first, then smaller ones served from it, then a mix
+    # of stored rows and sweeps
+    for radii in (np.full(300, 0.6), rng.uniform(0.0, 0.6, 300),
+                  rng.uniform(0.0, 0.9, 300)):
+        radius = dict(zip(src.tolist(), radii.tolist()))
+        served, chunk_radii = [], []
+        for idx, ptr, ids, dist in cache.ball_chunks(src, radii):
+            served += idx.tolist()
+            chunk_radii.append([radius[s] for s in idx.tolist()])
+            for k, s in enumerate(idx.tolist()):
+                want = np.flatnonzero(dense[s] <= radius[s])
+                want = want[np.lexsort((want, dense[s, want]))]
+                assert np.array_equal(ids[ptr[k] : ptr[k + 1]], want)
+                assert np.array_equal(dist[ptr[k] : ptr[k + 1]], dense[s, want])
+        assert sorted(served) == sorted(src.tolist())
+        assert all(min(a) >= max(b) for a, b in zip(chunk_radii, chunk_radii[1:]))
+
+
+def test_prune_radius_is_twice_t_times_max_gradient():
+    disk = flat_disk(1.0, 0.1)
+    slope = 0.8
+    a = slope * np.array([math.cos(0.7), math.sin(0.7)])
+    u = PLFunction(disk, 1.0 + disk.embedding @ a)
+    # no edge runs along a, so edge slopes fall short of |a|
+    assert lip_field(disk, u).max() < (1 - 1e-6) * slope
+    t = 0.1
+    res = hopf_lax(disk, DistanceCache(disk, disk.mesh_h), u, t)
+    assert math.sqrt(2 * t * np.ptp(u.values)) > 2 * t * slope  # the cap binds
+    assert res.prune_radius == pytest.approx(2 * t * slope + PRUNE_PAD, rel=1e-12)
+
+
+def test_foot_is_smallest_id_among_tied_minimizers(disk, cache):
+    x, t = 150, 0.1
+    d = cache.vertex_block([x])[0]
+    u = PLFunction(disk, -(d * d / (2.0 * t)))
+    res = hopf_lax(disk, cache, u, t)
+    # every candidate at x is exactly 0, so every vertex is a minimizer
+    assert res.values[x] == 0.0
+    assert res.foot[x] == 0
+    assert res.foot_dist[x] == d[0] > 0.6
+
+
+def test_cap_narrows_sweeps(monkeypatch, disk):
+    limits = []
+    sweep = DistanceCache.vertex_block
+
+    def recorded(self, sources, limit=np.inf):
+        limits.append(limit)
+        return sweep(self, sources, limit)
+
+    monkeypatch.setattr(DistanceCache, "vertex_block", recorded)
+    u = PLFunction(disk, 1.0 + disk.embedding @ [0.6, -0.5])
+    t = 0.2
+    hopf_lax(disk, DistanceCache(disk, disk.mesh_h), u, t)
+    lip = math.sqrt(float(face_gradient(disk, u).face_sq.max()))
+    assert limits
+    assert max(limits) <= 2 * t * lip + PRUNE_PAD
+    assert max(limits) < math.sqrt(2 * t * np.ptp(u.values))

@@ -746,6 +746,19 @@ def test_steiner_graph_matches_loop_reference(name, spacing, tmp_path):
     assert np.array_equal(d_ref, d_new)
 
 
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_MESHES))
+@pytest.mark.parametrize("spacing", [0.3, 0.9])
+def test_graph_matrix_is_exactly_symmetric(name, spacing, tmp_path):
+    # distance_field and vertex_block search it with directed=True
+    surf = DIFFERENTIAL_MESHES[name](tmp_path)
+    m = surf.graph(spacing).matrix
+    assert (m != m.T).nnz == 0
+    fld = distance_field(surf, 0, spacing)
+    dist, pred = csgraph.dijkstra(m, directed=False, indices=0, return_predecessors=True)
+    assert np.array_equal(fld.node_dist, dist)
+    assert np.array_equal(fld.predecessors, pred)
+
+
 # ---------------------------------------------------------------------------
 # differential test: the array walk of initial_direction against the dict walk
 # ---------------------------------------------------------------------------
