@@ -92,6 +92,7 @@ def face_gradient(space: ConeSurface, u: PLFunction) -> GradientField:
 
 def face_inner(space: ConeSurface, gu: GradientField, gv: GradientField) -> np.ndarray:
     """Per-face <grad u, grad v> (both fields share the same charts)."""
+    _check_host(space, gu, gv)
     return np.einsum("fi,fi->f", gu.face_grad, gv.face_grad)
 
 
@@ -125,24 +126,26 @@ class DirichletOperator:
 def assemble_operator(space: ConeSurface) -> DirichletOperator:
     """Cotan-weight stiffness matrix and one-third lumped vertex areas.
 
-    Row sums of the stiffness vanish (constants are in the kernel);
-    negative weights from obtuse triangles are kept as-is.
+    Each edge's weight is the sum of the half-cotans of the corners
+    opposite it, summed per edge over its faces; the diagonal sums the
+    weights of the edges at each vertex.  Row sums of the stiffness
+    vanish (constants are in the kernel); negative weights from obtuse
+    triangles are kept as-is.
     """
-    F = space.n_faces
-    rows, cols, vals = [], [], []
-    ang = space.corner_angle
-    faces = space.faces
-    for s in range(3):
-        # side s is opposite corner s; its cotan weight couples the side's ends
-        u = faces[:, (s + 1) % 3]
-        v = faces[:, (s + 2) % 3]
-        w = 0.5 / np.tan(ang[:, s])
-        rows.extend([u, v, u, v])
-        cols.extend([v, u, u, v])
-        vals.extend([-w, -w, w, w])
+    V, E = space.n_vertices, len(space.edges)
+    # side s of a face is opposite corner s and is edge face_edge[:, s]
+    w = np.bincount(space.face_edge.ravel(), weights=0.5 / np.tan(space.corner_angle).ravel(),
+                    minlength=E)
+    lo, hi = space.edges[:, 0], space.edges[:, 1]
+    diag = np.bincount(lo, weights=w, minlength=V) + np.bincount(hi, weights=w, minlength=V)
+    # edges are sorted by (lo, hi), so listing the entries below the
+    # diagonal, then the diagonal, then those above it leaves every row's
+    # columns ascending after the stable conversion to CSR
+    vid = np.arange(V)
     mat = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.n_vertices, space.n_vertices),
+        (np.concatenate([-w, diag, -w]),
+         (np.concatenate([hi, vid, lo]), np.concatenate([lo, vid, hi]))),
+        shape=(V, V),
     ).tocsr()
     return DirichletOperator(
         surface=space,

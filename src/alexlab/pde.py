@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.sparse import linalg as sla
 
 from .calculus import (
@@ -91,8 +92,9 @@ def solve_poisson_dirichlet(space: ConeSurface, op: DirichletOperator, f, g,
     u = gv.copy()
     if inter.any():
         Kii = K[inter][:, inter]
-        Kib = K[inter][:, bmask]
-        rhs = -(M[inter] * fv[inter]) - Kib @ gv[bmask]
+        # K applied to g with its interior entries zeroed is K_ib g_b: the
+        # extra terms are exact zeros in the same column order
+        rhs = -(M[inter] * fv[inter]) - (K @ np.where(bmask, gv, 0.0))[inter]
         cap = max(100, int(CG_ITER_FACTOR * math.sqrt(int(inter.sum()))))
         u[inter] = _cg(Kii.tocsr(), rhs, tol, cap)
     return PLFunction(space, u)
@@ -167,14 +169,30 @@ def first_nonzero_eigenpair(space: ConeSurface, op: DirichletOperator,
     Inverse-power iteration on K + sigma M (sigma = 1e-8 trace scale
     regularizes the constant kernel) with mass-mean projection after every
     step; stops when the relative eigen-residual drops below tol.
+
+    K + sigma M is factored once, in a reverse Cuthill-McKee order refined
+    by SuperLU's minimum degree on A^T + A, in symmetric mode with no
+    pivoting.  That is stable because the matrix is symmetric positive
+    definite: the cotan energy of a PL interpolant is >= 0 even where
+    weights are negative, and sigma M > 0.  Reverse Cuthill-McKee runs
+    first because it depends on the graph alone, while minimum degree on
+    some input numberings (the icosphere's) fills in badly.
     """
     if not space.is_closed:
         raise NotClosedError("first eigenpair needs a closed surface")
-    K = op.stiffness.tocsc()
+    K = op.stiffness
     M = op.masses
     sigma = 1e-8 * K.diagonal().sum() / space.n_vertices
-    shifted = (K + sigma * sparse.diags(M)).tocsc()
-    solve = sla.factorized(shifted)
+    shifted = K + sigma * sparse.diags(M)
+    perm = csgraph.reverse_cuthill_mckee(shifted, symmetric_mode=True)
+    lu = sla.splu(shifted[perm][:, perm].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+    def solve(b):
+        out = np.empty_like(b)
+        out[perm] = lu.solve(b[perm])
+        return out
+
     rng = np.random.default_rng(1234)
     x = rng.standard_normal(space.n_vertices)
     total_mass = M.sum()

@@ -1069,6 +1069,8 @@ def toponogov_check(space: ConeSurface, cache: DistanceCache,
                     quadruple, kappa: float, tol: float) -> bool:
     """Alexandrov quadruple condition: the three comparison angles at p sum
     to at most 2 pi + tol."""
+    if cache.space is not space:
+        raise DomainError("distance cache belongs to a different surface")
     p, a, b, c = quadruple
     dp = cache.field(p)
     da = cache.field(a)

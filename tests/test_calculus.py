@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from alexlab.calculus import (
     PLFunction,
@@ -22,6 +23,7 @@ from alexlab.calculus import (
 from alexlab.exceptions import DomainError
 from alexlab.pde import solve_poisson_dirichlet
 from alexlab.space import cone_disk, distance_field, flat_disk
+from test_space import DIFFERENTIAL_MESHES
 
 RNG = np.random.default_rng(7)
 
@@ -118,6 +120,49 @@ def test_stiffness_row_sums_and_symmetry(disk_op):
     assert np.abs(row_sums).max() < 1e-12
     assert disk_op.masses.sum() == pytest.approx(disk_op.surface.total_area, rel=1e-12)
     assert np.all(disk_op.masses > 0)
+
+
+def coo_stiffness(space):
+    """Reference assembly: four COO records per face side, 12F in all,
+    with the duplicates summed by the conversion to CSR."""
+    rows, cols, vals = [], [], []
+    for s in range(3):
+        u = space.faces[:, (s + 1) % 3]
+        v = space.faces[:, (s + 2) % 3]
+        w = 0.5 / np.tan(space.corner_angle[:, s])
+        rows.extend([u, v, u, v])
+        cols.extend([v, u, u, v])
+        vals.extend([-w, -w, w, w])
+    V = space.n_vertices
+    return sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(V, V)
+    ).tocsr()
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_MESHES))
+def test_stiffness_matches_coo_reference(name, tmp_path):
+    surf = DIFFERENTIAL_MESHES[name](tmp_path)
+    ref = coo_stiffness(surf)
+    K = assemble_operator(surf).stiffness
+    assert K.has_canonical_format
+    assert K.nnz == surf.n_vertices + 2 * len(surf.edges)
+    np.testing.assert_array_equal(K.indptr, ref.indptr)
+    np.testing.assert_array_equal(K.indices, ref.indices)
+    # edge weights are summed per edge, then per vertex: a new summation
+    # order, so entries agree to a few ulps of their row's largest entry
+    row_max = np.maximum.reduceat(np.abs(ref.data), ref.indptr[:-1])
+    ulps = np.repeat(np.spacing(row_max), np.diff(ref.indptr))
+    assert np.all(np.abs(K.data - ref.data) <= 4 * ulps)
+
+
+def test_face_inner_rejects_a_gradient_from_another_surface(disk):
+    other = flat_disk(1.0, 0.1)
+    g = face_gradient(disk, PLFunction.constant(disk, 1.0))
+    g_other = face_gradient(other, PLFunction.constant(other, 1.0))
+    with pytest.raises(DomainError):
+        face_inner(disk, g, g_other)
+    with pytest.raises(DomainError):
+        face_inner(other, g, g)
 
 
 def test_laplacian_functional_basics(disk, disk_op):

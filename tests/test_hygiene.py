@@ -1,6 +1,6 @@
 """Every name a module imports is used in that module, every private
-definition in alexlab is referred to, and every console script in
-pyproject.toml resolves."""
+definition in alexlab is referred to, every parameter of an alexlab
+function is read, and every console script in pyproject.toml resolves."""
 
 import ast
 import importlib
@@ -77,6 +77,43 @@ def test_unused_private_definition_is_reported(tmp_path):
         "print(_Box()._get())\n"
     )
     assert unused_private_definitions([mod]) == [("mod.py", 5, "_unused"), ("mod.py", 16, "_spare")]
+
+
+def unread_parameters(path):
+    """(line, function, parameter) of each parameter of a function or lambda
+    in `path` that its body, nested definitions included, never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        found.extend((node.lineno, name, p) for p in params if p not in read)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path) == []
+
+
+def test_unread_parameter_is_reported(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def f(a, b, *args, c=1, **kw):\n"
+        "    b = 2\n"
+        "    def g():\n        return a + kw['x']\n"
+        "    return g()\n\n\n"
+        "h = lambda x, y: x\n"
+    )
+    assert unread_parameters(mod) == [
+        (1, "f", "args"), (1, "f", "b"), (1, "f", "c"), (8, "<lambda>", "y"),
+    ]
 
 
 def test_console_scripts_resolve():

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import linalg as sla
 
+from alexlab import pde
 from alexlab.calculus import (
     PLFunction,
     assemble_operator,
@@ -25,7 +28,8 @@ from alexlab.pde import (
     solve_poisson_dirichlet,
     supersolution_slack,
 )
-from alexlab.space import distance_field, flat_disk, flat_torus, icosphere
+from alexlab.space import build_surface, distance_field, flat_disk, flat_torus, icosphere
+from test_space import DIFFERENTIAL_MESHES
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +85,30 @@ def test_solution_monotone_in_boundary_data(disk, op):
     u1 = solve_poisson_dirichlet(disk, op, None, g1, tol=1e-12)
     u2 = solve_poisson_dirichlet(disk, op, None, g2, tol=1e-12)
     assert np.all(u1.values <= u2.values + 1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_MESHES))
+def test_dirichlet_rhs_matches_boundary_slice(name, tmp_path, monkeypatch):
+    surf = DIFFERENTIAL_MESHES[name](tmp_path)
+    sop = assemble_operator(surf)
+    V = surf.n_vertices
+    rng = np.random.default_rng(31)
+    seen = []
+
+    def record_rhs(mat, rhs, tol, cap):
+        seen.append(rhs)
+        return np.zeros(len(rhs))
+
+    monkeypatch.setattr(pde, "_cg", record_rhs)
+    for bmask in (sop.boundary | (rng.random(V) < 0.1), rng.random(V) < 0.4):
+        f = rng.standard_normal(V)
+        g = rng.standard_normal(V) * 10.0 ** rng.uniform(-3, 3, V)
+        solve_poisson_dirichlet(surf, sop, f, g, boundary_mask=bmask)
+        inter = ~bmask
+        # reference: the boundary columns sliced out of the interior rows
+        Kib = sop.stiffness[inter][:, bmask]
+        ref = -(sop.masses[inter] * f[inter]) - Kib @ g[bmask]
+        np.testing.assert_array_equal(seen.pop(), ref)
 
 
 def test_empty_boundary_error(disk, op):
@@ -176,6 +204,62 @@ def test_first_eigenpair_flat_torus():
     top = assemble_operator(torus)
     lam, _ = first_nonzero_eigenpair(torus, top, tol=1e-10)
     assert lam == pytest.approx(4 * math.pi**2, rel=0.03)
+
+
+def colamd_eigenpair(space, op, tol):
+    """Reference eigen solve: the same inverse iteration, with K + sigma M
+    factored by `sla.factorized` in SuperLU's default COLAMD order."""
+    K = op.stiffness.tocsc()
+    M = op.masses
+    sigma = 1e-8 * K.diagonal().sum() / space.n_vertices
+    solve = sla.factorized((K + sigma * sparse.diags(M)).tocsc())
+    x = np.random.default_rng(1234).standard_normal(space.n_vertices)
+    x -= (M @ x) / M.sum()
+    x /= math.sqrt(float(x @ (M * x)))
+    for _ in range(500):
+        y = solve(M * x)
+        y -= (M @ y) / M.sum()
+        x = y / math.sqrt(float(y @ (M * y)))
+        Kx = K @ x
+        lam = float(x @ Kx)
+        if np.linalg.norm(Kx - lam * (M * x)) <= tol * np.linalg.norm(Kx):
+            return lam, x
+    raise AssertionError("reference inverse iteration did not converge")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: icosphere(3), lambda: icosphere(4),
+    lambda: flat_torus(1.0, 1 / 16), lambda: flat_torus(1.0, 1 / 32),
+], ids=["icosphere3", "icosphere4", "torus16", "torus32"])
+def test_first_eigenpair_matches_colamd_reference(make):
+    surf = make()
+    sop = assemble_operator(surf)
+    tol = 1e-8
+    lam, u = first_nonzero_eigenpair(surf, sop, tol=tol)
+    ref_lam, ref_vec = colamd_eigenpair(surf, sop, tol)
+    assert lam == pytest.approx(ref_lam, rel=1e-12, abs=0)
+    assert np.abs(np.abs(u.values) - np.abs(ref_vec)).max() <= 1e-8
+    K, M = sop.stiffness, sop.masses
+    Ku = K @ u.values
+    assert np.linalg.norm(Ku - lam * (M * u.values)) <= tol * np.linalg.norm(Ku)
+
+
+def test_first_eigenvalue_does_not_depend_on_vertex_numbering():
+    # the factor order starts from reverse Cuthill-McKee because minimum
+    # degree alone fills in badly on some numberings; the eigenvalue must
+    # not see the numbering at all
+    ico = icosphere(3)
+    perm = np.random.default_rng(17).permutation(ico.n_vertices)  # old id -> new id
+    i, j = perm[ico.edges].T
+    relabelled = build_surface(
+        perm[ico.faces],
+        zip(i.tolist(), j.tolist(), ico.edge_lengths.tolist()),
+        declared_k=ico.declared_k,
+        embedding=ico.embedding[np.argsort(perm)],
+    )
+    lam, _ = first_nonzero_eigenpair(ico, assemble_operator(ico))
+    lam_p, _ = first_nonzero_eigenpair(relabelled, assemble_operator(relabelled))
+    assert lam_p == pytest.approx(lam, rel=1e-12, abs=0)
 
 
 def test_first_eigenpair_iteration_cap():

@@ -345,6 +345,12 @@ def test_toponogov_icosphere():
     assert checked >= 1
 
 
+def test_toponogov_rejects_a_cache_of_another_surface():
+    torus, other = flat_torus(1.0, 1 / 12), flat_torus(1.0, 1 / 12)
+    with pytest.raises(DomainError):
+        toponogov_check(torus, DistanceCache(other, 1 / 24), (0, 1, 2, 3), 0.0, 1.0)
+
+
 def test_toponogov_saddle_vertex_fails_kappa0():
     # gluing with cone angle > 2pi: some quadruple near the vertex violates
     # the kappa = 0 quadruple condition
