@@ -66,26 +66,32 @@ def _check_host(surface, *fns):
 def face_gradient(space: ConeSurface, u: PLFunction) -> GradientField:
     """Constant per-face gradient of the affine interpolant of u.
 
-    The vertex |grad u|^2 field is the area-weighted average of the
-    incident face values (one admissible pointwise representative).
+    It relies on the layout of :meth:`ConeSurface.charts`: corner 0 at the
+    origin, corner 1 at (l2, 0) on the x-axis and corner 2 at (x2, y2) with
+    y2 > 0, l2 being the side from corner 0 to corner 1.  So the 2x2 system
+    grad . (p_k - p_0) = u_k - u_0, k = 1, 2, has determinant l2 y2 and is
+    solved in closed form.  The vertex
+    |grad u|^2 field is the area-weighted average of the incident face
+    values (one admissible pointwise representative).
     """
     _check_host(space, u)
     ch = space.charts()           # (F, 3, 2)
+    l2, x2, y2 = ch[:, 1, 0], ch[:, 2, 0], ch[:, 2, 1]
     vals = u.values[space.faces]  # (F, 3)
-    # solve the 2x2 affine systems: grad . (p1 - p0) = u1 - u0, etc.
-    e1 = ch[:, 1] - ch[:, 0]
-    e2 = ch[:, 2] - ch[:, 0]
     b1 = vals[:, 1] - vals[:, 0]
     b2 = vals[:, 2] - vals[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    gx = (b1 * e2[:, 1] - b2 * e1[:, 1]) / det
-    gy = (-b1 * e2[:, 0] + b2 * e1[:, 0]) / det
+    det = l2 * y2
+    # b2 * 0.0 is the (exactly zero) e1_y term of the general solve; it
+    # gives a zero gx the sign that solve gives it
+    gx = (b1 * y2 - b2 * 0.0) / det
+    gy = (-b1 * x2 + b2 * l2) / det
     grad = np.stack([gx, gy], axis=1)
     face_sq = gx * gx + gy * gy
-    wsum = np.zeros(space.n_vertices)
-    acc = np.zeros(space.n_vertices)
-    np.add.at(wsum, space.faces.ravel(), np.repeat(space.face_area, 3))
-    np.add.at(acc, space.faces.ravel(), np.repeat(space.face_area * face_sq, 3))
+    corner = space.faces.ravel()
+    area = np.repeat(space.face_area, 3)
+    V = space.n_vertices
+    wsum = np.bincount(corner, weights=area, minlength=V)
+    acc = np.bincount(corner, weights=area * np.repeat(face_sq, 3), minlength=V)
     vertex_sq = acc / np.maximum(wsum, 1e-300)
     return GradientField(space, grad, face_sq, vertex_sq)
 

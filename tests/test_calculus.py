@@ -155,6 +155,46 @@ def test_stiffness_matches_coo_reference(name, tmp_path):
     assert np.all(np.abs(K.data - ref.data) <= 4 * ulps)
 
 
+def general_face_gradient(space, u):
+    """Reference: the general 2x2 solve from the chart's edge vectors, with
+    the vertex sums by np.add.at: (face_grad, face_sq, vertex_sq)."""
+    ch = space.charts()
+    vals = u.values[space.faces]
+    e1 = ch[:, 1] - ch[:, 0]
+    e2 = ch[:, 2] - ch[:, 0]
+    b1 = vals[:, 1] - vals[:, 0]
+    b2 = vals[:, 2] - vals[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    gx = (b1 * e2[:, 1] - b2 * e1[:, 1]) / det
+    gy = (-b1 * e2[:, 0] + b2 * e1[:, 0]) / det
+    face_sq = gx * gx + gy * gy
+    wsum = np.zeros(space.n_vertices)
+    acc = np.zeros(space.n_vertices)
+    np.add.at(wsum, space.faces.ravel(), np.repeat(space.face_area, 3))
+    np.add.at(acc, space.faces.ravel(), np.repeat(space.face_area * face_sq, 3))
+    return np.stack([gx, gy], axis=1), face_sq, acc / np.maximum(wsum, 1e-300)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_MESHES))
+def test_face_gradient_matches_general_solve(name, tmp_path):
+    surf = DIFFERENTIAL_MESHES[name](tmp_path)
+    rng = np.random.default_rng(17)
+    V = surf.n_vertices
+    data = {
+        "random": rng.normal(size=V),
+        "constant": np.full(V, -2.5),
+        # most values round to +0.0 or -0.0, so zero gradients of both
+        # signs occur
+        "rounded": np.round(0.6 * rng.normal(size=V)),
+    }
+    for vals in data.values():
+        got = face_gradient(surf, PLFunction(surf, vals))
+        ref = general_face_gradient(surf, PLFunction(surf, vals))
+        for a, b in zip((got.face_grad, got.face_sq, got.vertex_sq), ref):
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def test_face_inner_rejects_a_gradient_from_another_surface(disk):
     other = flat_disk(1.0, 0.1)
     g = face_gradient(disk, PLFunction.constant(disk, 1.0))

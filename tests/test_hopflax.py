@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -275,9 +276,10 @@ def _data(space):
     }
 
 
-def _assert_same(space, cache, u, t):
+def _assert_same(space, cache, u, t, dense):
+    """hopf_lax from `cache` against `dense`, the dense_hopf_lax tuple."""
     got = hopf_lax(space, cache, u, t)
-    values, foot, fdist, radius = dense_hopf_lax(space, cache, u, t)
+    values, foot, fdist, radius = dense
     assert np.array_equal(got.values, values)
     assert np.array_equal(got.foot, foot)
     assert np.array_equal(got.foot_dist, fdist)
@@ -296,25 +298,39 @@ DIFF_MESHES = {
 }
 
 
+# (BALL_READ, BALL_CHUNK): the defaults, then budgets that cut chunks at
+# every row or every few rows; each must hand out the same balls
+CHUNK_LIMITS = list(itertools.product((space_mod.BALL_READ, 97, 1),
+                                      (space_mod.BALL_CHUNK, 7, 1)))
+
+
 @pytest.mark.parametrize("mesh", sorted(DIFF_MESHES))
-def test_ball_cache_matches_dense_blocks(mesh):
+def test_ball_cache_matches_dense_blocks(monkeypatch, mesh):
     space = DIFF_MESHES[mesh]()
-    cache = DistanceCache(space, space.mesh_h)
     orders = {
         "ascending": (0.05, 0.1, 0.2),
         "descending": (0.3, 0.15, 0.05),
         "repeated": (0.1, 0.1),
     }
-    for name, vals in _data(space).items():
-        u = PLFunction(space, vals)
-        for ts in orders.values():
-            for t in ts:
-                res = _assert_same(space, cache, u, t)
-                if name == "constant":
-                    assert np.array_equal(res.foot, np.arange(space.n_vertices))
-        for margin in (0.0, 0.05, 0.15, 0.3, 0.6):
-            assert np.array_equal(interior_margin_mask(space, cache, margin),
-                                  dense_margin_mask(space, cache, margin))
+    margins = (0.0, 0.05, 0.15, 0.3, 0.6)
+    data = {name: PLFunction(space, vals) for name, vals in _data(space).items()}
+    ref = DistanceCache(space, space.mesh_h)
+    dense = {(name, t): dense_hopf_lax(space, ref, u, t)
+             for name, u in data.items() for t in set().union(*orders.values())}
+    masks = {margin: dense_margin_mask(space, ref, margin) for margin in margins}
+    for read, chunk in CHUNK_LIMITS:
+        monkeypatch.setattr(space_mod, "BALL_READ", read)
+        monkeypatch.setattr(space_mod, "BALL_CHUNK", chunk)
+        cache = DistanceCache(space, space.mesh_h)
+        for name, u in data.items():
+            for ts in orders.values():
+                for t in ts:
+                    res = _assert_same(space, cache, u, t, dense[name, t])
+                    if name == "constant":
+                        assert np.array_equal(res.foot, np.arange(space.n_vertices))
+            for margin in margins:
+                assert np.array_equal(interior_margin_mask(space, cache, margin),
+                                      masks[margin])
 
 
 def _count_sweeps(monkeypatch):
@@ -364,27 +380,62 @@ def test_ball_cache_byte_cap(monkeypatch, disk):
         assert 0 < capped.ball_bytes <= budget
 
 
-def test_ball_rows_hold_exactly_the_requested_ball(disk):
+def test_ball_rows_hold_exactly_the_requested_ball(monkeypatch, disk):
+    dense = DistanceCache(disk, disk.mesh_h).vertex_block(np.arange(disk.n_vertices))
+    calls = _count_sweeps(monkeypatch)
+    for read, chunk in CHUNK_LIMITS:
+        monkeypatch.setattr(space_mod, "BALL_READ", read)
+        monkeypatch.setattr(space_mod, "BALL_CHUNK", chunk)
+        cache = DistanceCache(disk, disk.mesh_h)
+        rng = np.random.default_rng(3)
+        src = rng.permutation(disk.n_vertices)[:300]
+        # a large radius first, then smaller ones served from it, then a mix
+        # of stored rows and sweeps
+        for radii in (np.full(300, 0.6), rng.uniform(0.0, 0.6, 300),
+                      rng.uniform(0.0, 0.9, 300)):
+            radius = dict(zip(src.tolist(), radii.tolist()))
+            served, chunk_radii = [], []
+            calls.clear()
+            for idx, ptr, ids, dist in cache.ball_chunks(src, radii):
+                served += idx.tolist()
+                chunk_radii.append([radius[s] for s in idx.tolist()])
+                for k, s in enumerate(idx.tolist()):
+                    want = np.flatnonzero(dense[s] <= radius[s])
+                    want = want[np.lexsort((want, dense[s, want]))]
+                    assert np.array_equal(ids[ptr[k] : ptr[k + 1]], want)
+                    assert np.array_equal(dist[ptr[k] : ptr[k + 1]], dense[s, want])
+                # the chunk's swept rows come last, after its stored ones
+                n_swept = sum(calls)
+                calls.clear()
+                assert n_swept <= chunk
+                assert ptr[len(idx) - n_swept] <= read or len(idx) == 1
+            assert sorted(served) == sorted(src.tolist())
+            assert all(min(a) >= max(b) for a, b in zip(chunk_radii, chunk_radii[1:]))
+
+
+def test_warm_hopf_lax_reads_in_few_chunks(monkeypatch):
+    disk = flat_disk(1.0, 0.05)
+    assert disk.n_vertices == 1429
     cache = DistanceCache(disk, disk.mesh_h)
-    dense = cache.vertex_block(np.arange(disk.n_vertices))
-    rng = np.random.default_rng(3)
-    src = rng.permutation(disk.n_vertices)[:300]
-    # a large radius first, then smaller ones served from it, then a mix
-    # of stored rows and sweeps
-    for radii in (np.full(300, 0.6), rng.uniform(0.0, 0.6, 300),
-                  rng.uniform(0.0, 0.9, 300)):
-        radius = dict(zip(src.tolist(), radii.tolist()))
-        served, chunk_radii = [], []
-        for idx, ptr, ids, dist in cache.ball_chunks(src, radii):
-            served += idx.tolist()
-            chunk_radii.append([radius[s] for s in idx.tolist()])
-            for k, s in enumerate(idx.tolist()):
-                want = np.flatnonzero(dense[s] <= radius[s])
-                want = want[np.lexsort((want, dense[s, want]))]
-                assert np.array_equal(ids[ptr[k] : ptr[k + 1]], want)
-                assert np.array_equal(dist[ptr[k] : ptr[k + 1]], dense[s, want])
-        assert sorted(served) == sorted(src.tolist())
-        assert all(min(a) >= max(b) for a, b in zip(chunk_radii, chunk_radii[1:]))
+    u = PLFunction(disk, 1.0 + disk.embedding @ [0.6, -0.5])
+    hopf_lax(disk, cache, u, 0.2)
+    calls = _count_sweeps(monkeypatch)
+    chunks = []
+    ball_chunks = DistanceCache.ball_chunks
+
+    def counted(self, sources, radii):
+        for chunk in ball_chunks(self, sources, radii):
+            chunks.append(len(chunk[0]))
+            yield chunk
+
+    monkeypatch.setattr(DistanceCache, "ball_chunks", counted)
+    for t in (0.2, 0.1):
+        chunks.clear()
+        hopf_lax(disk, cache, u, t)
+        assert calls == []
+        assert sum(chunks) == disk.n_vertices
+        # per-chunk budgets, not a fixed count of sources per chunk
+        assert len(chunks) < math.ceil(disk.n_vertices / space_mod.BALL_CHUNK) == 6
 
 
 def test_prune_radius_is_twice_t_times_max_gradient():

@@ -1,9 +1,11 @@
 """Every name a module imports is used in that module, every private
 definition in alexlab is referred to, every parameter of an alexlab
-function is read, and every console script in pyproject.toml resolves."""
+function is read, every UPPER_CASE module constant of alexlab is read in
+alexlab, and every console script in pyproject.toml resolves."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -113,6 +115,47 @@ def test_unread_parameter_is_reported(tmp_path):
     )
     assert unread_parameters(mod) == [
         (1, "f", "args"), (1, "f", "b"), (1, "f", "c"), (8, "<lambda>", "y"),
+    ]
+
+
+def unread_constants(paths):
+    """(file name, line, name) of each UPPER_CASE module-level constant in
+    `paths` that no code in `paths` reads, by name or as an attribute."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = []
+    for path, tree in trees.items():
+        for stmt in tree.body:
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            found.extend((path.name, stmt.lineno, t.id) for t in targets
+                         if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)
+                         and t.id not in read)
+    return sorted(found)
+
+
+def test_every_constant_is_read():
+    assert unread_constants(sorted(SRC.glob("*.py"))) == []
+
+
+def test_unread_constant_is_reported(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text(
+        "LIMIT = 4\n"
+        "SPARE = 2\n"
+        "_HIDDEN: int = 3\n"
+        "Mixed = 1\n"
+        "def f(x):\n    LOCAL = 5\n    return x\n"
+    )
+    b.write_text("import a\n\nprint(a.LIMIT)\nSPARE = 7\n")
+    assert unread_constants([a, b]) == [
+        ("a.py", 2, "SPARE"), ("a.py", 3, "_HIDDEN"), ("b.py", 4, "SPARE"),
     ]
 
 
