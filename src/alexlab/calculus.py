@@ -102,11 +102,6 @@ def face_inner(space: ConeSurface, gu: GradientField, gv: GradientField) -> np.n
     return np.einsum("fi,fi->f", gu.face_grad, gv.face_grad)
 
 
-def pointwise_lip(space: ConeSurface, u: PLFunction, x: int) -> float:
-    """lip_field at the one vertex x."""
-    return float(lip_field(space, u)[x])
-
-
 def lip_field(space: ConeSurface, u: PLFunction) -> np.ndarray:
     """Discrete pointwise Lipschitz surrogate: max slope over incident edges,
     at every vertex."""
@@ -216,12 +211,6 @@ def interior_region_vertices(space: ConeSurface, mask) -> np.ndarray:
     bad[i[outside[j]]] = True
     bad[j[outside[i]]] = True
     return np.flatnonzero(ok & ~bad)
-
-
-def integrate(op: DirichletOperator, u: PLFunction) -> float:
-    """Lumped-mass integral of a PL function."""
-    _check_host(op.surface, u)
-    return float(op.masses @ u.values)
 
 
 def shell_integral(space: ConeSurface, field: DistanceField, u: PLFunction,

@@ -1,27 +1,23 @@
-"""Closed-form kernels of the constant-curvature model spaces.
+"""Closed-form kernels of the 2-D model plane of curvature k.
 
-Everything in this module is a pure function of scalars: generalized sine,
-radial Green kernels, ball/sphere volumes of the n-dimensional model space
-of curvature k, volumes of metric cones over a direction space, triangle
-comparison angles via the k-cosine law, and Bishop-Gromov volume ratios.
+Everything in this module is a pure function of scalars: generalized sine
+and cosine, the radial Green kernel, circle lengths and disk areas of the
+model plane of curvature k, areas of cones over a circle of given length,
+triangle comparison angles via the k-cosine law, and Bishop-Gromov area
+ratios.  k has units 1/length^2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .exceptions import DomainError, PerimeterTooLargeError, TriangleInequalityError
 
 # Below this threshold a curvature value is treated as zero so that the
 # flat-branch formulas take over before sin/sinh cancellation kicks in.
 FLAT_CURVATURE_EPS = 1e-12
-
-# Relative tolerance for adaptive quadrature of kernels without closed form.
-QUAD_RTOL = 1e-10
 
 # Sides measured by separate computations, such as graph distances from
 # different Dijkstra sweeps, can break the triangle inequality by rounding
@@ -30,34 +26,9 @@ QUAD_RTOL = 1e-10
 TRIANGLE_SLACK_ULPS = 16
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Dimension and curvature lower bound of a model space.
-
-    n is the dimension (>= 2); k is the sectional-curvature bound with
-    units 1/length^2.
-    """
-
-    n: int
-    k: float
-
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
-            raise DomainError(f"model dimension must be an integer >= 2, got {self.n}")
-        if not math.isfinite(self.k):
-            raise DomainError(f"curvature bound must be finite, got {self.k}")
-
-    @property
-    def diameter(self) -> float:
-        """Diameter of the model space (pi/sqrt(k) for k > 0, else inf)."""
-        if self.k > FLAT_CURVATURE_EPS:
-            return math.pi / math.sqrt(self.k)
-        return math.inf
-
-
-def sphere_measure(n: int) -> float:
-    """Total measure omega_{n-1} of the unit (n-1)-sphere in R^n."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+def _check_k(k: float) -> None:
+    if not math.isfinite(k):
+        raise DomainError(f"curvature bound must be finite, got {k}")
 
 
 def generalized_sine(k: float, t: float) -> float:
@@ -87,147 +58,84 @@ def generalized_cosine(k: float, t: float) -> float:
 
 
 def _green_cutoff(k: float) -> float:
-    # Upper integration limit for the k != 0 kernels that have no decay at
-    # infinity.  Additive normalization is a free choice; identities only
+    # Upper integration limit for the k != 0 kernels, which have no decay
+    # at infinity.  Additive normalization is a free choice; identities only
     # ever use the derivative green_kernel_deriv.
     if k > FLAT_CURVATURE_EPS:
         return 0.5 * math.pi / math.sqrt(k)
     return 1.0
 
 
-def green_kernel(params: ModelParams, r: float) -> float:
-    """Radial profile phi_k(r) of the model-space Green function.
+def green_kernel(k: float, r: float) -> float:
+    """Radial profile phi_k(r) of the model-plane Green function.
 
-    For n >= 3 this is the integral of s_k^{1-n} from r outward, normalized
-    by (n-2)*omega_{n-1}; the flat branch has the closed form
-    r^{2-n}/((n-2) omega_{n-1}).  For n = 2 the flat kernel is
-    -log(r)/(2 pi) and the curved kernels integrate 1/s_k up to a fixed
-    cutoff (pi/(2 sqrt(k)) for k > 0, 1 for k < 0).
+    The flat kernel is -log(r)/(2 pi); the curved kernels integrate
+    1/(2 pi s_k) from r up to a fixed cutoff (pi/(2 sqrt(k)) for k > 0,
+    1 for k < 0).
     """
-    n, k = params.n, params.k
+    _check_k(k)
     if r <= 0:
         raise DomainError(f"green kernel needs r > 0, got {r}")
     if k > FLAT_CURVATURE_EPS and r >= math.pi / math.sqrt(k):
         raise DomainError(f"r={r} is beyond the diameter of the k={k} model")
-    omega = sphere_measure(n)
-    if n == 2:
-        if abs(k) < FLAT_CURVATURE_EPS:
-            return -math.log(r) / omega
-        # Antiderivative is explicit: d/dt log(tan(sqrt(k) t / 2)) = sqrt(k)/sin,
-        # with the hyperbolic analogue for k < 0; no quadrature needed.
-        upper = _green_cutoff(k)
-        if k > 0:
-            rk = math.sqrt(k)
-            val = math.log(math.tan(rk * upper / 2.0)) - math.log(math.tan(rk * r / 2.0))
-        else:
-            rk = math.sqrt(-k)
-            val = math.log(math.tanh(rk * upper / 2.0)) - math.log(math.tanh(rk * r / 2.0))
-        return val / omega
-    # n >= 3
     if abs(k) < FLAT_CURVATURE_EPS:
-        return r ** (2 - n) / ((n - 2) * omega)
-    if k < 0:
-        # Integrand decays like e^{-(n-1) sqrt(-k) t}; cut the improper tail
-        # where it underflows instead of letting sinh overflow.
-        rk = math.sqrt(-k)
-        upper = r + 720.0 / ((n - 1) * rk)
-        val, _ = integrate.quad(
-            lambda t: generalized_sine(k, t) ** (1 - n),
-            r,
-            upper,
-            epsrel=QUAD_RTOL,
-            epsabs=0.0,
-            limit=200,
-        )
-        return val / ((n - 2) * omega)
+        return -math.log(r) / math.tau
+    # Antiderivative is explicit: d/dt log(tan(sqrt(k) t / 2)) = sqrt(k)/sin,
+    # with the hyperbolic analogue for k < 0; no quadrature needed.
     upper = _green_cutoff(k)
-    if r >= upper:
-        sign = -1.0
-        lo, hi = upper, r
+    if k > 0:
+        rk = math.sqrt(k)
+        val = math.log(math.tan(rk * upper / 2.0)) - math.log(math.tan(rk * r / 2.0))
     else:
-        sign = 1.0
-        lo, hi = r, upper
-    val, _ = integrate.quad(
-        lambda t: generalized_sine(k, t) ** (1 - n),
-        lo,
-        hi,
-        epsrel=QUAD_RTOL,
-        epsabs=0.0,
-        limit=200,
-    )
-    return sign * val / ((n - 2) * omega)
+        rk = math.sqrt(-k)
+        val = math.log(math.tanh(rk * upper / 2.0)) - math.log(math.tanh(rk * r / 2.0))
+    return val / math.tau
 
 
-def green_kernel_deriv(params: ModelParams, r: float) -> float:
-    """phi_k'(r).  Strictly negative on the domain.
-
-    Equals -s_k^{1-n}(r)/((n-2) omega_{n-1}) for n >= 3 and
-    -1/(omega_1 s_k(r)) for n = 2.
-    """
-    n, k = params.n, params.k
+def green_kernel_deriv(k: float, r: float) -> float:
+    """phi_k'(r) = -1/(2 pi s_k(r)).  Strictly negative on the domain."""
+    _check_k(k)
     if r <= 0:
         raise DomainError(f"green kernel derivative needs r > 0, got {r}")
-    omega = sphere_measure(n)
     s = generalized_sine(k, r)
     if s <= 0:
         raise DomainError(f"r={r} is beyond the diameter of the k={k} model")
-    if n == 2:
-        return -1.0 / (omega * s)
-    return -(s ** (1 - n)) / ((n - 2) * omega)
+    return -1.0 / (math.tau * s)
 
 
-def model_sphere_area(params: ModelParams, r: float) -> float:
-    """Area of the metric sphere of radius r: omega_{n-1} s_k^{n-1}(r)."""
-    n, k = params.n, params.k
+def model_sphere_area(k: float, r: float) -> float:
+    """Length of the metric circle of radius r: 2 pi s_k(r)."""
+    _check_k(k)
     if r < 0:
         raise DomainError(f"sphere area needs r >= 0, got {r}")
     if k > FLAT_CURVATURE_EPS and r > math.pi / math.sqrt(k) + 1e-15:
         raise DomainError(f"r={r} exceeds the diameter of the k={k} model")
-    return sphere_measure(n) * generalized_sine(k, r) ** (n - 1)
+    return math.tau * generalized_sine(k, r)
 
 
-def model_ball_volume(params: ModelParams, r: float) -> float:
-    """Volume of the metric ball of radius r in the model space."""
-    n, k = params.n, params.k
+def model_ball_volume(k: float, r: float) -> float:
+    """Area of the metric disk of radius r in the model plane."""
+    _check_k(k)
     if r < 0:
         raise DomainError(f"ball volume needs r >= 0, got {r}")
     if k > FLAT_CURVATURE_EPS and r > math.pi / math.sqrt(k) + 1e-15:
         raise DomainError(f"r={r} exceeds the diameter of the k={k} model")
     if r == 0:
         return 0.0
-    omega = sphere_measure(n)
     if abs(k) < FLAT_CURVATURE_EPS:
-        return omega * r**n / n
-    if n == 2:
-        # integral of s_k is (1 - cos(sqrt(k) r))/k in both signed branches
-        return omega * (1.0 - generalized_cosine(k, r)) / k
-    if n == 3:
-        rk = math.sqrt(abs(k))
-        if k > 0:
-            inner = r / 2.0 - math.sin(2 * rk * r) / (4 * rk)
-        else:
-            inner = math.sinh(2 * rk * r) / (4 * rk) - r / 2.0
-        return omega * inner / abs(k)
-    val, _ = integrate.quad(
-        lambda t: generalized_sine(k, t) ** (n - 1),
-        0.0,
-        r,
-        epsrel=QUAD_RTOL,
-        epsabs=0.0,
-        limit=200,
-    )
-    return omega * val
+        return math.tau * r**2 / 2
+    # integral of s_k is (1 - cos(sqrt(k) r))/k in both signed branches
+    return math.tau * (1.0 - generalized_cosine(k, r)) / k
 
 
-def cone_ball_volume(direction_measure: float, params: ModelParams, r: float) -> float:
-    """Ball volume in the k-cone over a direction space of given measure.
+def cone_ball_volume(theta: float, k: float, r: float) -> float:
+    """Disk area in the k-cone of cone angle theta.
 
-    direction_measure is vol(Sigma_p); for n = 2 it is the cone angle.
-    The cone scales the model ball by direction_measure/omega_{n-1}.
+    The cone scales the model disk area by theta/(2 pi).
     """
-    if direction_measure <= 0:
-        raise DomainError(f"direction measure must be positive, got {direction_measure}")
-    return direction_measure / sphere_measure(params.n) * model_ball_volume(params, r)
+    if theta <= 0:
+        raise DomainError(f"cone angle must be positive, got {theta}")
+    return theta / math.tau * model_ball_volume(k, r)
 
 
 def comparison_angle(k: float, opp: float, s1: float, s2: float) -> float:
@@ -265,24 +173,23 @@ def comparison_angle(k: float, opp: float, s1: float, s2: float) -> float:
         c = num / den
     return math.acos(min(1.0, max(-1.0, c)))
 
+def bishop_gromov_profile(pairs, k: float) -> tuple[np.ndarray, bool]:
+    """Ratios area(B(r))/model disk area plus a monotonicity flag.
 
-def bishop_gromov_profile(ball_volumes, params: ModelParams) -> tuple[np.ndarray, bool]:
-    """Ratios vol(B(r))/model ball volume plus a monotonicity flag.
-
-    ball_volumes is a sequence of (r, vol) pairs with strictly increasing
-    radii and nondecreasing, nonnegative volumes.  The flag is True iff
-    the ratio sequence is nonincreasing within 1e-9.
+    pairs is a sequence of (r, area) pairs with strictly increasing radii
+    and nondecreasing, nonnegative areas.  The flag is True iff the ratio
+    sequence is nonincreasing within 1e-9.
     """
-    pairs = list(ball_volumes)
+    pairs = list(pairs)
     if not pairs:
-        raise DomainError("bishop_gromov_profile needs at least one (r, vol) pair")
+        raise DomainError("bishop_gromov_profile needs at least one (r, area) pair")
     radii = np.asarray([p[0] for p in pairs], dtype=float)
     vols = np.asarray([p[1] for p in pairs], dtype=float)
     if np.any(np.diff(radii) <= 0):
         raise DomainError("radii must be strictly increasing")
     if np.any(vols < 0) or np.any(np.diff(vols) < 0):
-        raise DomainError("volumes must be nonnegative and nondecreasing")
-    model = np.asarray([model_ball_volume(params, r) for r in radii])
+        raise DomainError("areas must be nonnegative and nondecreasing")
+    model = np.asarray([model_ball_volume(k, r) for r in radii])
     ratios = vols / model
     monotone = bool(np.all(np.diff(ratios) <= 1e-9))
     return ratios, monotone

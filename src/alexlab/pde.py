@@ -260,11 +260,9 @@ class HarmonicMeasure:
     space: ConeSurface
     op: DirichletOperator
     center: int
-    radius: float
     radii: np.ndarray
     weights: np.ndarray
     balls: list[np.ndarray]
-    k: float
     solver_tol: float = 1e-10
 
     def mu_samples(self, phi: PLFunction) -> np.ndarray:
@@ -298,15 +296,14 @@ def harmonic_measure(space: ConeSurface, op: DirichletOperator, p: int,
             f"B_p({R}) touches the domain boundary (reach {interior_reach:.4g})"
         )
     radii = np.linspace(R / m, R, m)
-    k = space.declared_k
-    weights = np.asarray([generalized_sine(k, r) for r in radii])
+    weights = np.asarray([generalized_sine(space.declared_k, r) for r in radii])
     balls = []
     for r in radii:
         region = d <= r
         if region.sum() < 4 or not (d[region] > 0).any():
             raise DomainError(f"ball of radius {r} is below mesh resolution")
         balls.append(region)
-    return HarmonicMeasure(space, op, p, R, radii, weights, balls, k, solver_tol)
+    return HarmonicMeasure(space, op, p, radii, weights, balls, solver_tol)
 
 
 def hm_integrate(hm: HarmonicMeasure, phi: PLFunction) -> float:

@@ -21,6 +21,7 @@ from itertools import chain
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
+from scipy.spatial import Delaunay
 
 from .exceptions import (
     DisconnectedError,
@@ -35,13 +36,6 @@ from .model import comparison_angle
 # Interior vertices whose cone angle deviates from 2 pi by more than this
 # are singular; generators of flat meshes must stay below it.
 SINGULAR_ANGLE_TOL = 1e-9
-
-# Frozen constant, not a bound: DistanceField.error_bound is this multiple
-# of the Steiner spacing.  It was fitted to one flat-disk test; on
-# flat_disk(1, 0.04) at spacing 0.016 the graph overestimates by 2.2-2.4
-# spacings.  A bound derived from the construction replaces it (ROADMAP
-# item "derived error bounds").
-DISTANCE_ERROR_FACTOR = 2.0
 
 # DistanceCache keeps at most this many bytes of truncated distance balls;
 # a ball beyond it serves the request that swept it and is then dropped.
@@ -498,8 +492,6 @@ def flat_disk(R: float, h: float) -> ConeSurface:
     """
     if R <= 0 or h <= 0:
         raise DomainError(f"flat_disk needs R > 0 and h > 0, got R={R}, h={h}")
-    from scipy.spatial import Delaunay
-
     cutoff = R - 0.95 * h
     n = int(R / h) + 2
     k = np.arange(-n, n + 1)
@@ -747,7 +739,6 @@ class DistanceField:
     h: float
     node_dist: np.ndarray
     predecessors: np.ndarray
-    error_bound: float
 
     @property
     def vertex_dist(self) -> np.ndarray:
@@ -764,8 +755,7 @@ def distance_field(space: ConeSurface, source: int, h: float) -> DistanceField:
     """Shortest-path distance field from a source vertex.
 
     Distances are exact on the Steiner graph and overestimate the true
-    geodesic distance by O(h); the recorded error bound is the frozen
-    regression constant times h.
+    geodesic distance by O(h).
     """
     if not 0 <= source < space.n_vertices:
         raise DomainError(f"source vertex {source} out of range")
@@ -780,7 +770,6 @@ def distance_field(space: ConeSurface, source: int, h: float) -> DistanceField:
         h=h,
         node_dist=dist,
         predecessors=pred,
-        error_bound=DISTANCE_ERROR_FACTOR * h,
     )
 
 
@@ -1177,8 +1166,10 @@ def _convert(rows, dtype, msg):
         raise ValueError(msg) from None
 
 
-def load_off(path, declared_k: float = 0.0) -> ConeSurface:
+def load_off(path) -> ConeSurface:
     """Read a surface from the text format that save_off writes.
+
+    The format carries no curvature bound, so the surface declares k = 0.
 
     The content lines, in order:
 
@@ -1290,7 +1281,7 @@ def load_off(path, declared_k: float = 0.0) -> ConeSurface:
         return out
 
     embedding = coords if np.any(coords) else None
-    surf = build_surface(faces, lengths, declared_k=declared_k, embedding=embedding)
+    surf = build_surface(faces, lengths, embedding=embedding)
     # build_surface counts the vertices up to the largest face id
     if surf.n_vertices < nv:
         fail(nums[2 + surf.n_vertices], "vertex is in no face")

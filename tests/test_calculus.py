@@ -17,7 +17,6 @@ from alexlab.calculus import (
     laplacian_functional,
     laplacian_vector,
     lip_field,
-    pointwise_lip,
     shell_integral,
 )
 from alexlab.exceptions import DomainError
@@ -77,13 +76,13 @@ def test_face_gradient_quadratic_vertex_field(disk):
 
 def test_pointwise_lip(disk):
     const = PLFunction.constant(disk, 2.0)
-    assert pointwise_lip(disk, const, 0) == 0.0
+    assert lip_field(disk, const)[0] == 0.0
     lin = PLFunction.from_embedding(disk, lambda x, y: x)
     lips = lip_field(disk, lin)
     # 1-Lipschitz exactly; interior lattice vertices see a parallel edge
     assert lips.max() <= 1.0 + 1e-12
     assert np.abs(lips[~disk.boundary_vertex] - 1.0).max() < 0.2
-    assert pointwise_lip(disk, lin, 0) == pytest.approx(lips[0], abs=1e-14)
+    assert lip_field(disk, lin)[0] == pytest.approx(lips[0], abs=1e-14)
 
 
 def test_distance_field_is_one_lipschitz(disk):

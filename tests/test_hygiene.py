@@ -1,11 +1,15 @@
 """Every name a module imports is used in that module, every private
-definition in alexlab is referred to, every parameter of an alexlab
-function is read, every UPPER_CASE module constant of alexlab is read in
-alexlab, and every console script in pyproject.toml resolves."""
+definition in alexlab is referred to, every public definition in alexlab
+is referred to from alexlab, the tests or the benchmark, every parameter
+of an alexlab function is read, every UPPER_CASE module constant of
+alexlab is read in alexlab, importing alexlab loads no module that it
+does not use, and every console script in pyproject.toml resolves."""
 
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,18 +44,24 @@ def test_unused_import_is_reported(tmp_path):
     assert unused_imports(mod) == [(1, "math"), (2, "s")]
 
 
-def unused_private_definitions(paths):
-    """(file name, line, name) of each private function, class or method in
-    `paths` that no name or attribute in `paths` refers to; dunders are
-    exempt."""
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+def referred_names(trees):
+    """Every name and attribute name in the syntax trees `trees`."""
     used = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+    return used
+
+
+def unused_private_definitions(paths):
+    """(file name, line, name) of each private function, class or method in
+    `paths` that no name or attribute in `paths` refers to; dunders are
+    exempt."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    used = referred_names(trees.values())
     found = []
     for path, tree in trees.items():
         for node in ast.walk(tree):
@@ -79,6 +89,42 @@ def test_unused_private_definition_is_reported(tmp_path):
         "print(_Box()._get())\n"
     )
     assert unused_private_definitions([mod]) == [("mod.py", 5, "_unused"), ("mod.py", 16, "_spare")]
+
+
+def unreferenced_public_definitions(defined, referring):
+    """(file name, line, name) of each public function, class, method or
+    property in `defined` that no name or attribute in `referring` refers
+    to; dunders are exempt."""
+    used = referred_names(ast.parse(path.read_text(), filename=str(path)) for path in referring)
+    found = []
+    for path in defined:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in used):
+                found.append((path.name, node.lineno, node.name))
+    return sorted(found)
+
+
+def test_every_public_definition_is_referred_to():
+    referring = [p for d in (SRC, ROOT / "tests", ROOT / "perfbench") for p in sorted(d.glob("*.py"))]
+    assert unreferenced_public_definitions(sorted(SRC.glob("*.py")), referring) == []
+
+
+def test_unreferenced_public_definition_is_reported(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text(
+        "def called():\n    return 1\n\n\n"
+        "def spare():\n    pass\n\n\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.x = called()\n\n"
+        "    @property\n    def size(self):\n        return self.x\n\n"
+        "    def unused(self):\n        pass\n\n\n"
+        "class Spare:\n    pass\n"
+    )
+    user.write_text("import lib\n\nprint(lib.Box().size)\n")
+    assert unreferenced_public_definitions([lib], [lib, user]) == [
+        ("lib.py", 5, "spare"), ("lib.py", 17, "unused"), ("lib.py", 21, "Spare"),
+    ]
 
 
 def unread_parameters(path):
@@ -157,6 +203,25 @@ def test_unread_constant_is_reported(tmp_path):
     assert unread_constants([a, b]) == [
         ("a.py", 2, "SPARE"), ("a.py", 3, "_HIDDEN"), ("b.py", 4, "SPARE"),
     ]
+
+
+def test_import_footprint():
+    # scipy.integrate is not used and costs every process ~12 MB; a first
+    # flat_disk call must not import inside a timed region
+    script = (
+        "import importlib, pathlib, sys\n"
+        f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+        f"for path in sorted(pathlib.Path({str(SRC)!r}).glob('*.py')):\n"
+        "    importlib.import_module('alexlab' if path.stem == '__init__' else 'alexlab.' + path.stem)\n"
+        "print('scipy.integrate' in sys.modules)\n"
+        "before = set(sys.modules)\n"
+        "from alexlab.space import flat_disk\n"
+        "flat_disk(1, 0.2)\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.splitlines() == ["False", "[]"]
 
 
 def test_console_scripts_resolve():
