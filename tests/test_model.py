@@ -45,6 +45,29 @@ def test_green_kernel_flat_2d_log_branch():
     assert green_kernel(0.0, 0.5) == pytest.approx(-math.log(0.5) / (2 * math.pi), rel=1e-12)
 
 
+def test_green_kernel_curved_closed_form():
+    # oracle: tan(t/2) = (1 - cos t)/sin t and tanh(t/2) = (cosh t - 1)/sinh t,
+    # so int_r^c dt/sin t and int_r^c dt/sinh t have these logs as values;
+    # the kernel vanishes at its cutoff (pi/2 for k = 1, 1 for k = -1)
+    for r in (0.2, 0.9, 1.4):
+        sph = -math.log((1.0 - math.cos(r)) / math.sin(r)) / math.tau
+        assert green_kernel(1.0, r) == pytest.approx(sph, rel=1e-12)
+
+        def hyp(t):
+            return math.log((math.cosh(t) - 1.0) / math.sinh(t))
+
+        assert green_kernel(-1.0, r) == pytest.approx((hyp(1.0) - hyp(r)) / math.tau, rel=1e-12)
+    assert green_kernel(1.0, math.pi / 2) == pytest.approx(0.0, abs=1e-15)
+    assert green_kernel(-1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_green_kernel_has_unit_flux():
+    # the Green function of the model plane has flux -1 through every
+    # metric circle: circle length times phi_k'(r) is -1 for every k and r
+    for k in (0.0, 1.0, -1.0, 4.0, -0.25):
+        for r in (0.1, 0.7, 1.5):
+            assert model_sphere_area(k, r) * green_kernel_deriv(k, r) == pytest.approx(-1.0, rel=1e-14)
+
 def test_green_kernel_monotone_for_nonpositive_k():
     for k in (0.0, -1.0):
         vals = [green_kernel(k, r) for r in (0.2, 0.5, 1.0, 2.0)]
@@ -74,6 +97,17 @@ def test_model_volumes_round_sphere():
     # whole unit sphere: int_0^pi 2 pi sin t dt = 4 pi
     assert model_ball_volume(1.0, math.pi) == pytest.approx(4 * math.pi, rel=1e-12)
 
+
+def test_model_volumes_curved_closed_form():
+    # hyperbolic plane: circle length 2 pi sinh r, disk area 2 pi (cosh r - 1)
+    for r in (0.3, 1.0, 2.2):
+        assert model_sphere_area(-1.0, r) == pytest.approx(math.tau * math.sinh(r), rel=1e-12)
+        assert model_ball_volume(-1.0, r) == pytest.approx(math.tau * (math.cosh(r) - 1.0), rel=1e-12)
+    # k = -1/4 is the hyperbolic plane scaled by 2: lengths double, areas quadruple
+    assert model_ball_volume(-0.25, 2.0) == pytest.approx(4 * model_ball_volume(-1.0, 1.0), rel=1e-12)
+    # k = 4 is the sphere of radius 1/2; its hemisphere has area 2 pi (1/2)^2
+    assert model_ball_volume(4.0, math.pi / 4) == pytest.approx(math.pi / 2, rel=1e-12)
+    assert model_sphere_area(4.0, math.pi / 4) == pytest.approx(math.pi, rel=1e-12)
 
 @given(
     st.sampled_from([0.0, -1.0]),
