@@ -632,23 +632,34 @@ class _SteinerGraph:
     arc is a path on the surface, so graph distances bound geodesic
     distances from above.
 
-    Build.  Faces are grouped by their triple of per-side node counts, so
-    each group's node positions and cross-side distances are broadcast
-    array operations.
+    Build.  Each along-edge segment and each pair of nodes on two sides
+    of a face is a record: a node pair (int32 ids) with a length.  Only
+    the records that can repeat go through a min-reduction, by one sort of
+    their keys: the segments and every record with a vertex endpoint (a
+    pair along an edge is met from both faces on it and from its segments;
+    a corner meets the opposite side's nodes from two side pairs of its
+    face).  A pair of Steiner points on two sides of a face occurs once,
+    unless another face has the same three vertices; only such faces send
+    those pairs to the reduction.  The distinct pairs, smaller id first,
+    are the upper triangle U, which the CSR conversion sorts per row, and
+    the matrix is U + U.T: exactly symmetric.  Faces are grouped by their
+    triple of per-side node counts, so each group's node positions and
+    cross-side distances are broadcast array operations.
     """
 
     def __init__(self, surf: ConeSurface, h: float):
         if h <= 0:
             raise DomainError(f"Steiner spacing must be positive, got {h}")
-        self.surface = surf
         self.h = h
-        V = surf.n_vertices
-        edges, L = surf.edges, surf.edge_lengths
+        # the graph keeps the edge table but not the surface, which holds
+        # the graph: without a cycle, both are freed by reference count
+        self.edges = edges = surf.edges
+        V, L = surf.n_vertices, surf.edge_lengths
         m = np.maximum(np.ceil(L / h).astype(np.int64) - 1, 0)
         first = V + np.cumsum(m) - m  # id of each edge's first Steiner point
-        self.n_nodes = V + int(m.sum())
+        n = self.n_nodes = V + int(m.sum())
         self.steiner_edge = np.repeat(np.arange(len(edges)), m)
-        node = np.arange(V, self.n_nodes)
+        node = np.arange(V, n)
         k = node - first[self.steiner_edge] + 1
         self.steiner_frac = k * (1.0 / (m + 1))[self.steiner_edge]
 
@@ -656,9 +667,10 @@ class _SteinerGraph:
         seg = L / (m + 1)
         prev = np.where(k == 1, edges[self.steiner_edge, 0], node - 1)
         last = np.where(m > 0, first + m - 1, edges[:, 0])
-        chunks_r = [prev, last]
-        chunks_c = [node, edges[:, 1]]
-        chunks_v = [seg[self.steiner_edge], seg]
+        again = _Records()  # records that can repeat
+        once = _Records()   # records that cannot
+        again.add(prev, node, seg[self.steiner_edge])
+        again.add(last, edges[:, 1], seg)
 
         # per face side: its edge, node count, and the corners at the
         # edge's smaller and larger endpoint
@@ -669,65 +681,110 @@ class _SteinerGraph:
         hi_corner = np.where(lo_first, (nxt + 1) % 3, nxt)
         side_nodes = m[fe] + 2
         charts = surf.charts()
+        # two faces on one edge with the same three vertices share every
+        # side, so they meet each of their Steiner-Steiner pairs twice
+        two = surf.edge_faces[surf.edge_faces[:, 1] >= 0]
+        twin = np.all(np.sort(faces[two[:, 0]], axis=1) == np.sort(faces[two[:, 1]], axis=1),
+                      axis=1)
+        doubled = np.zeros(len(faces), dtype=bool)
+        doubled[two[twin].ravel()] = True
         _, group, sizes = np.unique(
             side_nodes, axis=0, return_inverse=True, return_counts=True
         )
         by_group = np.split(np.argsort(group.ravel(), kind="stable"), np.cumsum(sizes)[:-1])
         for fs in by_group:
-            ids, pts = [], []
+            ids, xs, ys = [], [], []
             for s in range(3):
-                n = int(side_nodes[fs[0], s])
+                ns = int(side_nodes[fs[0], s])
                 e = fe[fs, s]
                 p = charts[fs, lo_corner[fs, s]]
                 q = charts[fs, hi_corner[fs, s]]
-                fr = np.linspace(0.0, 1.0, n)
-                pts.append(p[:, None, :] + fr[None, :, None] * (q - p)[:, None, :])
-                ids.append(np.c_[edges[e, 0], first[e][:, None] + np.arange(n - 2),
-                                 edges[e, 1]])
+                fr = np.linspace(0.0, 1.0, ns)
+                # chart points of the side's nodes, one axis at a time
+                xs.append(p[:, None, 0] + fr[None, :] * (q - p)[:, None, 0])
+                ys.append(p[:, None, 1] + fr[None, :] * (q - p)[:, None, 1])
+                ids.append(np.c_[edges[e, 0], first[e][:, None] + np.arange(ns - 2),
+                                 edges[e, 1]].astype(np.int32))
+            twins = doubled[fs]
             for s, t in ((0, 1), (0, 2), (1, 2)):
-                d = np.linalg.norm(pts[s][:, :, None, :] - pts[t][:, None, :, :], axis=3)
-                uu = np.broadcast_to(ids[s][:, :, None], d.shape).ravel()
-                vv = np.broadcast_to(ids[t][:, None, :], d.shape).ravel()
-                keep = uu != vv
-                chunks_r.append(uu[keep])
-                chunks_c.append(vv[keep])
-                chunks_v.append(d.ravel()[keep])
-        # duplicates (shared face sides, repeated cross pairs): keep the minimum
-        self.matrix = _min_coo(
-            np.concatenate(chunks_r), np.concatenate(chunks_c),
-            np.concatenate(chunks_v), self.n_nodes,
-        )
+                # the norm of each chart difference, summed as np.linalg.norm does
+                d = xs[s][:, :, None] - xs[t][:, None, :]
+                d *= d
+                dy = ys[s][:, :, None] - ys[t][:, None, :]
+                dy *= dy
+                d += dy
+                del dy
+                np.sqrt(d, out=d)
+                u, v = ids[s][:, :, None], ids[t][:, None, :]
+                frame = np.ones(d.shape[1:], dtype=bool)
+                frame[1:-1, 1:-1] = False
+                uu = np.broadcast_to(u, d.shape)[:, frame]
+                vv = np.broadcast_to(v, d.shape)[:, frame]
+                keep = uu != vv  # the corner the two sides share
+                again.add(uu[keep], vv[keep], d[:, frame][keep])
+                # Steiner-Steiner pairs
+                u, v, d = u[:, 1:-1], v[:, :, 1:-1], d[:, 1:-1, 1:-1]
+                if twins.any():
+                    again.add(u[twins], v[twins], d[twins])
+                    u, v, d = u[~twins], v[~twins], d[~twins]
+                once.add(u, v, d)
+        once.add(*again.min_reduced(n))
+        upper = once.upper(n)
+        self.matrix = upper + upper.T
 
     def node_values(self, vertex_values: np.ndarray) -> np.ndarray:
         """PL interpolation of a vertex function onto all graph nodes."""
-        surf = self.surface
-        a = surf.edges[self.steiner_edge, 0]
-        b = surf.edges[self.steiner_edge, 1]
+        a = self.edges[self.steiner_edge, 0]
+        b = self.edges[self.steiner_edge, 1]
         t = self.steiner_frac
         interp = (1 - t) * vertex_values[a] + t * vertex_values[b]
         return np.concatenate([vertex_values, interp])
 
 
-def _min_coo(rows, cols, vals, n):
-    """Symmetric csr adjacency keeping the minimum length over duplicates."""
-    lo = np.minimum(rows, cols)
-    hi = np.maximum(rows, cols)
-    key = lo * n + hi
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    v = vals[order]
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    group = np.cumsum(first) - 1
-    mins = np.full(int(group[-1]) + 1 if len(group) else 0, np.inf)
-    np.minimum.at(mins, group, v)
-    ukey = key[first]
-    ulo = ukey // n
-    uhi = ukey % n
-    rr = np.concatenate([ulo, uhi])
-    cc = np.concatenate([uhi, ulo])
-    vv = np.concatenate([mins, mins])
-    return sparse.csr_matrix((vv, (rr, cc)), shape=(n, n))
+class _Records:
+    """Node pairs (int32, smaller id first) with their lengths, in chunks."""
+
+    def __init__(self):
+        self.lo, self.hi, self.val = [], [], []
+
+    def add(self, u, v, val) -> None:
+        """Records of the node pairs (u, v), broadcast together, and lengths val."""
+        self.lo.append(np.minimum(u, v, dtype=np.int32).ravel())
+        self.hi.append(np.maximum(u, v, dtype=np.int32).ravel())
+        self.val.append(np.ravel(val))
+
+    def _joined(self, name, dtype=None):
+        """One column as one array; its chunks are dropped."""
+        chunks = getattr(self, name)
+        setattr(self, name, None)
+        return np.concatenate(chunks, dtype=dtype)
+
+    def min_reduced(self, n):
+        """(lo, hi, length) of each distinct pair, at its shortest length.
+
+        The records are dropped; the columns are joined and sorted one at a
+        time, so the peak is four record-length arrays of 8 bytes.
+        """
+        val = self._joined("val")
+        key = self._joined("lo", np.int64)
+        key *= n
+        key += self._joined("hi")
+        order = np.argsort(key)
+        val = val[order]
+        key = key[order]
+        del order
+        start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        val = np.minimum.reduceat(val, start)
+        key = key[start]
+        return (key // n).astype(np.int32), (key % n).astype(np.int32), val
+
+    def upper(self, n):
+        """The pairs as an upper-triangular (n, n) CSR; they must be distinct.
+
+        The records are dropped.
+        """
+        val, lo, hi = (self._joined(c) for c in ("val", "lo", "hi"))
+        return sparse.csr_matrix((val, (lo, hi)), shape=(n, n))
 
 
 @dataclass
@@ -760,7 +817,7 @@ def distance_field(space: ConeSurface, source: int, h: float) -> DistanceField:
     if not 0 <= source < space.n_vertices:
         raise DomainError(f"source vertex {source} out of range")
     g = space.graph(h)
-    # directed=True: the matrix is exactly symmetric (see _min_coo)
+    # directed=True: the matrix is U + U.T, exactly symmetric (see _SteinerGraph)
     dist, pred = csgraph.dijkstra(
         g.matrix, directed=True, indices=source, return_predecessors=True
     )
@@ -829,8 +886,8 @@ class DistanceCache:
         step = max(1, int(BLOCK_CELLS // max(g.n_nodes, 1)))
         for lo in range(0, len(sources), step):
             idx = sources[lo : lo + step]
-            # directed=True reads the matrix as given: _min_coo makes it
-            # exactly symmetric, so this equals the undirected search
+            # directed=True reads the matrix as given: it is U + U.T, exactly
+            # symmetric (see _SteinerGraph), so this equals the undirected search
             d = csgraph.dijkstra(g.matrix, directed=True, indices=idx, limit=limit)
             out[lo : lo + step] = d[:, :V]
         return out

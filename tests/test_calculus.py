@@ -82,7 +82,12 @@ def test_pointwise_lip(disk):
     # 1-Lipschitz exactly; interior lattice vertices see a parallel edge
     assert lips.max() <= 1.0 + 1e-12
     assert np.abs(lips[~disk.boundary_vertex] - 1.0).max() < 0.2
-    assert lip_field(disk, lin)[0] == pytest.approx(lips[0], abs=1e-14)
+    # exactly the largest |u(i) - u(j)| / length over the edges at each vertex
+    vals, want = lin.values.tolist(), [0.0] * disk.n_vertices
+    for (i, j), length in zip(disk.edges.tolist(), disk.edge_lengths.tolist()):
+        slope = abs(vals[i] - vals[j]) / length
+        want[i], want[j] = max(want[i], slope), max(want[j], slope)
+    assert np.array_equal(lips, want)
 
 
 def test_distance_field_is_one_lipschitz(disk):

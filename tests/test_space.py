@@ -1,7 +1,11 @@
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse import csgraph
 
 from alexlab.exceptions import (
@@ -26,7 +30,6 @@ from alexlab.space import (
     save_off,
     toponogov_check,
     trace_shortest_path,
-    _min_coo,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -685,9 +688,31 @@ def loop_steiner_graph(surf, h):
                 chunks_r.append(uu[keep])
                 chunks_c.append(vv[keep])
                 chunks_v.append(d.ravel()[keep])
-    matrix = _min_coo(np.concatenate(chunks_r), np.concatenate(chunks_c),
-                      np.concatenate(chunks_v), next_id)
+    matrix = min_coo(np.concatenate(chunks_r), np.concatenate(chunks_c),
+                     np.concatenate(chunks_v), next_id)
     return matrix, next_id, np.asarray(steiner, dtype=np.int64).reshape(-1, 2)
+
+
+def min_coo(rows, cols, vals, n):
+    """Symmetric csr adjacency keeping the minimum length over all duplicates."""
+    lo = np.minimum(rows, cols)
+    hi = np.maximum(rows, cols)
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    v = vals[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    group = np.cumsum(first) - 1
+    mins = np.full(int(group[-1]) + 1 if len(group) else 0, np.inf)
+    np.minimum.at(mins, group, v)
+    ukey = key[first]
+    ulo = ukey // n
+    uhi = ukey % n
+    rr = np.concatenate([ulo, uhi])
+    cc = np.concatenate([uhi, ulo])
+    vv = np.concatenate([mins, mins])
+    return sparse.csr_matrix((vv, (rr, cc)), shape=(n, n))
 
 
 def node_labels(surf, steiner):
@@ -720,6 +745,10 @@ DIFFERENTIAL_MESHES = {
     "flat_torus": lambda tmp: flat_torus(1.0, 1 / 6),
     "icosphere": lambda tmp: icosphere(1),
     "load_off": irregular_off_mesh,
+    # two faces on the same three vertices: the one surface whose faces meet
+    # the same pair of Steiner points twice
+    "doubled_triangle": lambda tmp: build_surface(
+        [[0, 1, 2], [0, 2, 1]], {(0, 1): 1.0, (1, 2): 1.2, (0, 2): 0.9}),
 }
 
 
@@ -763,6 +792,43 @@ def test_graph_matrix_is_exactly_symmetric(name, spacing, tmp_path):
     dist, pred = csgraph.dijkstra(m, directed=False, indices=0, return_predecessors=True)
     assert np.array_equal(fld.node_dist, dist)
     assert np.array_equal(fld.predecessors, pred)
+
+
+def test_surface_and_graph_are_freed_by_reference_count():
+    # the graph holds no reference back to its surface, so no cycle waits
+    # for the collector
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        surf = flat_disk(1.0, 0.25)
+        cache = DistanceCache(surf, 0.1)
+        surf.graph(0.1)
+        cache.field(0)
+        alive = weakref.ref(surf)
+        del surf, cache
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_graph_build_peak_memory():
+    # a build holds at most 5 times the CSR it returns: records that cannot
+    # repeat are never sorted, and node ids are int32
+    surf = flat_torus(math.sqrt(math.pi), 0.04)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        m = surf.graph(0.016).matrix
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert m.shape == (15488, 15488) and m.nnz == 2 * 129712
+    assert peak <= 5 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
 
 
 # ---------------------------------------------------------------------------
