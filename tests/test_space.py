@@ -813,8 +813,7 @@ def test_surface_and_graph_are_freed_by_reference_count():
 
 
 def test_graph_build_peak_memory():
-    # a build holds at most 5 times the CSR it returns: records that cannot
-    # repeat are never sorted, and node ids are int32
+    # the arrays a build holds at once stay within 5 times the CSR it returns
     surf = flat_torus(math.sqrt(math.pi), 0.04)
     tracing = tracemalloc.is_tracing()
     if not tracing:
