@@ -11,6 +11,13 @@ minimizer, and the pruned value and foot equal those over any larger
 ball.  `DistanceCache` keeps one distance ball per source; it serves
 every later call whose radius at x it covers without a new sweep, and
 hands out only the entries within the radius asked for.
+
+Q_t u can be evaluated on a vertex subset only.  A source's radius
+depends on u and t alone and its ball is read exactly, so each
+evaluated value is bit-equal to the one a call on every vertex gives.
+`semigroup_audit` evaluates Q_t only on the vertices of the faces that
+touch its inner set: `lip_field` and `face_gradient` take an inner
+vertex's entry from its own edges and faces, so those are all it reads.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import PLFunction, _check_host, face_gradient, lip_field
+from .calculus import PLFunction, _check_host, _region_mask, face_gradient, lip_field
 from .exceptions import DomainError
 from .report import ExperimentReport, make_report
 from .space import ConeSurface, DistanceCache
@@ -30,43 +37,52 @@ PRUNE_PAD = 1e-9  # absolute padding on the pruning radius (float safety)
 
 @dataclass
 class HopfLaxResult:
-    """Q_t u values, foot points, and the distances to them."""
+    """Q_t u values, foot points, and the distances to them.
+
+    Entries at vertices that were not evaluated hold NaN (foot -1), so
+    they cannot pass for Q_t values: `as_plfunction` raises on them.
+    """
 
     surface: ConeSurface
     t: float
-    values: np.ndarray
-    foot: np.ndarray        # vertex id of the minimizer, smallest id on ties
-    foot_dist: np.ndarray   # graph distance to the foot point
-    prune_radius: float     # largest per-source radius, min(sqrt(2t osc u), 2t Lip u) + pad
+    values: np.ndarray      # Q_t u per evaluated vertex, NaN elsewhere
+    foot: np.ndarray        # vertex id of the minimizer, smallest id on ties; -1 off the set
+    foot_dist: np.ndarray   # graph distance to the foot point, NaN off the set
+    prune_radius: float     # largest per-source radius over the evaluated vertices,
+                            # min(sqrt(2t osc u), 2t Lip u) + pad; 0 if none
 
     def as_plfunction(self) -> PLFunction:
         return PLFunction(self.surface, self.values)
 
 
 def hopf_lax(space: ConeSurface, cache: DistanceCache, u: PLFunction,
-             t: float) -> HopfLaxResult:
-    """Evaluate Q_t u at every vertex.
+             t: float, at=None) -> HopfLaxResult:
+    """Evaluate Q_t u at the vertices of the mask `at`, every vertex if None.
 
-    Each source x reads its distance ball of radius
+    Each evaluated source x reads its distance ball of radius
     min(sqrt(2t (u(x) - min u)), 2t Lip) + PRUNE_PAD from `cache`, with Lip
     the largest face-gradient norm of u; the cache sweeps only the sources
     whose stored ball is smaller.  Q_t u(x) is the minimum of
     u(y) + d^2/(2t) over the ball; the foot is the smallest vertex id
-    attaining it.
+    attaining it.  The radius depends on u and t alone, so each value,
+    foot and distance on `at` equals that of the call on every vertex, bit
+    for bit.  Off `at`, values and foot_dist are NaN and foot is -1; no
+    ball of such a vertex is read or swept.
     """
     _check_host(space, u)
-    if t <= 0:
-        raise DomainError(f"Hopf-Lax needs t > 0, got {t}")
+    if not (math.isfinite(t) and t > 0):
+        raise DomainError(f"Hopf-Lax needs a finite t > 0, got {t}")
+    V = space.n_vertices
+    src = np.arange(V) if at is None else np.flatnonzero(_region_mask(space, at))
     uv = u.values
     umin = float(uv.min())
-    V = space.n_vertices
-    values = np.empty(V)
-    foot = np.empty(V, dtype=np.int64)
-    fdist = np.empty(V)
+    values = np.full(V, np.nan)
+    foot = np.full(V, -1, dtype=np.int64)
+    fdist = np.full(V, np.nan)
     lip = math.sqrt(float(face_gradient(space, u).face_sq.max()))
-    radii = np.minimum(np.sqrt(np.maximum(2.0 * t * (uv - umin), 0.0)),
+    radii = np.minimum(np.sqrt(np.maximum(2.0 * t * (uv[src] - umin), 0.0)),
                        2.0 * t * lip) + PRUNE_PAD
-    for idx, ptr, ids, d in cache.ball_chunks(np.arange(V), radii):
+    for idx, ptr, ids, d in cache.ball_chunks(src, radii):
         size = np.diff(ptr)
         cand = uv[ids] + d * d / (2.0 * t)
         best = np.minimum.reduceat(cand, ptr[:-1])
@@ -75,12 +91,14 @@ def hopf_lax(space: ConeSurface, cache: DistanceCache, u: PLFunction,
         values[idx] = best
         foot[idx] = low
         fdist[idx] = d[tied == np.repeat(low, size)]
-    return HopfLaxResult(space, t, values, foot, fdist, float(radii.max()))
+    return HopfLaxResult(space, t, values, foot, fdist, float(radii.max(initial=0.0)))
 
 
 def interior_margin_mask(space: ConeSurface, cache: DistanceCache,
                          margin: float) -> np.ndarray:
     """Vertices farther than `margin` from the surface boundary."""
+    if not margin >= 0:
+        raise DomainError(f"boundary margin must be >= 0, got {margin}")
     inner = np.ones(space.n_vertices, dtype=bool)
     if space.is_closed:
         return inner
@@ -100,15 +118,19 @@ def semigroup_audit(space: ConeSurface, cache: DistanceCache, u: PLFunction,
     derivative (u_{t+s} - u_t)/s against -|grad u_t|^2 / 2.
     """
     t_grid = sorted(float(t) for t in t_grid)
-    if not t_grid or t_grid[0] <= 0:
-        raise DomainError("t grid must be positive and nonempty")
-    # largest t first: its balls cover every smaller t's
-    results = {t: hopf_lax(space, cache, u, t) for t in reversed(t_grid)}
+    if not t_grid or not all(math.isfinite(t) and t > 0 for t in t_grid):
+        raise DomainError("t grid must be nonempty, finite and positive")
     lip_u = lip_field(space, u).max()
     margin = t_grid[-1] * lip_u + 3 * space.mesh_h
     inner = interior_margin_mask(space, cache, margin)
     if not inner.any():
         raise DomainError("no interior nodes survive the boundary margin")
+    # every vertex of a face at an inner vertex: all that the reads on
+    # `inner` below take from Q_t u
+    ring = np.zeros(space.n_vertices, dtype=bool)
+    ring[space.faces[inner[space.faces].any(axis=1)]] = True
+    # largest t first: its balls cover every smaller t's
+    results = {t: hopf_lax(space, cache, u, t, at=ring) for t in reversed(t_grid)}
     if derivative_tol is None:
         derivative_tol = space.mesh_h + 0.25 * (t_grid[-1] - t_grid[0])
 
@@ -121,14 +143,17 @@ def semigroup_audit(space: ConeSurface, cache: DistanceCache, u: PLFunction,
         a, b = results[t1].values, results[t2].values
         decay = a[inner] - b[inner]
         mono_slack = min(mono_slack, float(decay.min()))
-        lip_t = float(lip_field(space, results[t1].as_plfunction())[inner].max())
+        # Q_t u is NaN off the ring; any finite fill there is never read,
+        # since lip_field and face_gradient are taken on `inner` only
+        u_t = PLFunction(space, np.where(ring, a, 0.0))
+        lip_t = float(lip_field(space, u_t)[inner].max())
         # the discrete decay can overshoot the continuum bound by one mesh
         # quantum of movement; budget it explicitly
         bound_tol = 0.5 * space.mesh_h * lip_t**2
         bound_slack = min(
             bound_slack, float((0.5 * s * lip_t**2 + bound_tol - decay).min())
         )
-        grad_sq = face_gradient(space, results[t1].as_plfunction()).vertex_sq
+        grad_sq = face_gradient(space, u_t).vertex_sq
         fd = (b[inner] - a[inner]) / s
         err = np.abs(fd + 0.5 * grad_sq[inner])
         deriv_errs.append(float(err.max()))

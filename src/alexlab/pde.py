@@ -79,8 +79,8 @@ def solve_poisson_dirichlet(space: ConeSurface, op: DirichletOperator, f, g,
     boundary to solve on sub-regions.  Conjugate gradients run to relative
     residual `tol` with cap 50 sqrt(n).
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol}")
     bmask = op.boundary if boundary_mask is None else np.asarray(boundary_mask, bool)
     if not bmask.any():
         raise EmptyBoundaryError("Dirichlet solve needs a nonempty boundary set")

@@ -648,8 +648,8 @@ class _SteinerGraph:
     """
 
     def __init__(self, surf: ConeSurface, h: float):
-        if h <= 0:
-            raise DomainError(f"Steiner spacing must be positive, got {h}")
+        if not (math.isfinite(h) and h > 0):
+            raise DomainError(f"Steiner spacing must be finite and positive, got {h}")
         self.h = h
         # the graph keeps the edge table but not the surface, which holds
         # the graph: without a cycle, both are freed by reference count
@@ -1181,6 +1181,8 @@ def _sublevel_fraction(vals: np.ndarray, r: float) -> np.ndarray:
 
 def ball_volume(space: ConeSurface, field: DistanceField, r: float) -> float:
     """Area of the sub-level set {dist <= r} of the PL distance interpolant."""
+    if math.isnan(r):
+        raise DomainError("ball radius is NaN")
     vals = field.vertex_dist[space.faces]
     return float(np.sum(space.face_area * _sublevel_fraction(vals, r)))
 

@@ -6,6 +6,7 @@ import pytest
 
 from alexlab.calculus import PLFunction, face_gradient, lip_field
 from alexlab.exceptions import DomainError
+from alexlab import hopflax as hopflax_mod
 from alexlab import space as space_mod
 from alexlab.hopflax import (
     PRUNE_PAD,
@@ -478,3 +479,173 @@ def test_cap_narrows_sweeps(monkeypatch, disk):
     assert limits
     assert max(limits) <= 2 * t * lip + PRUNE_PAD
     assert max(limits) < math.sqrt(2 * t * np.ptp(u.values))
+
+
+# -- Q_t u on a vertex subset --
+
+
+def _ring(space, inner):
+    """`inner` and every vertex joined to it by an edge."""
+    i, j = space.edges.T
+    ring = inner.copy()
+    ring[i[inner[j]]] = True
+    ring[j[inner[i]]] = True
+    return ring
+
+
+@pytest.mark.parametrize("mesh", sorted(DIFF_MESHES))
+def test_restricted_hopf_lax_matches_full(mesh):
+    space = DIFF_MESHES[mesh]()
+    V, t = space.n_vertices, 0.15
+    ref = DistanceCache(space, space.mesh_h)
+    rng = np.random.default_rng(7)
+    one = np.zeros(V, dtype=bool)
+    one[V // 2] = True
+    masks = {
+        "one": one,
+        "half": rng.permutation(V) < V // 2,
+        "ring": _ring(space, dense_margin_mask(space, ref, 0.3)),
+        "all": np.ones(V, dtype=bool),
+    }
+    # one cache for all masks: cold for the first, partly warm after
+    cache = DistanceCache(space, space.mesh_h)
+    for name, vals in _data(space).items():
+        u = PLFunction(space, vals)
+        full = hopf_lax(space, ref, u, t)
+        for mask in masks.values():
+            got = hopf_lax(space, cache, u, t, at=mask)
+            assert np.array_equal(got.values[mask], full.values[mask])
+            assert np.array_equal(got.foot[mask], full.foot[mask])
+            assert np.array_equal(got.foot_dist[mask], full.foot_dist[mask])
+            assert np.isnan(got.values[~mask]).all()
+            assert np.isnan(got.foot_dist[~mask]).all()
+            assert (got.foot[~mask] == -1).all()
+            assert got.prune_radius <= full.prune_radius
+        assert got.prune_radius == full.prune_radius
+
+
+def _audit_cases():
+    disk = flat_disk(1.0, 0.1)
+    xy = disk.embedding
+    return disk, {
+        "linear": 1.0 + xy @ [0.6, -0.5],
+        "quadratic": 0.8 * np.sum(xy**2, axis=1) / 2,
+        "distance": distance_field(disk, 0, disk.mesh_h).vertex_dist.copy(),
+    }
+
+
+AUDIT_T = (0.05, 0.1, 0.15, 0.2)
+
+
+def test_semigroup_audit_matches_full_evaluation(monkeypatch):
+    disk, data = _audit_cases()
+    restricted, built = {}, []
+
+    def recorded(space, values):
+        built.append(np.array(values))
+        return PLFunction(space, values)
+
+    # the audit's reports, and the Q_t u arrays it builds PL functions from
+    monkeypatch.setattr(hopflax_mod, "PLFunction", recorded)
+    for name, vals in data.items():
+        u = PLFunction(disk, vals)
+        built.clear()
+        restricted[name] = semigroup_audit(disk, DistanceCache(disk, disk.mesh_h), u,
+                                           AUDIT_T).to_json()
+        # every entry the audit reads on its inner set equals the full call's
+        ref = DistanceCache(disk, disk.mesh_h)
+        margin = max(AUDIT_T) * lip_field(disk, u).max() + 3 * disk.mesh_h
+        inner = dense_margin_mask(disk, ref, margin)
+        assert len(built) == len(AUDIT_T) - 1
+        for t, got in zip(AUDIT_T, built):
+            full = PLFunction(disk, hopf_lax(disk, ref, u, t).values)
+            got = PLFunction(disk, got)
+            assert np.array_equal(lip_field(disk, got)[inner], lip_field(disk, full)[inner])
+            assert np.array_equal(face_gradient(disk, got).vertex_sq[inner],
+                                  face_gradient(disk, full).vertex_sq[inner])
+    monkeypatch.undo()
+    full = hopflax_mod.hopf_lax
+
+    def ignore_at(space, cache, u, t, at=None):
+        return full(space, cache, u, t)
+
+    monkeypatch.setattr(hopflax_mod, "hopf_lax", ignore_at)
+    for name, vals in data.items():
+        cache = DistanceCache(disk, disk.mesh_h)
+        want = semigroup_audit(disk, cache, PLFunction(disk, vals), AUDIT_T).to_json()
+        assert restricted[name] == want
+
+
+def test_semigroup_audit_sweeps_only_the_ring(monkeypatch):
+    disk, data = _audit_cases()
+    u = PLFunction(disk, data["linear"])
+    ref = DistanceCache(disk, disk.mesh_h)
+    margin = max(AUDIT_T) * lip_field(disk, u).max() + 3 * disk.mesh_h
+    ring = _ring(disk, dense_margin_mask(disk, ref, margin))
+    assert 0 < ring.sum() < disk.n_vertices
+    asked, inside = [], [False]
+    hopf, ball_chunks = hopflax_mod.hopf_lax, DistanceCache.ball_chunks
+
+    def tagged(*args, **kwargs):
+        inside[0] = True
+        try:
+            return hopf(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def recorded(self, sources, radii):
+        if inside[0]:
+            asked.append(np.sort(sources))
+        return ball_chunks(self, sources, radii)
+
+    monkeypatch.setattr(hopflax_mod, "hopf_lax", tagged)
+    monkeypatch.setattr(DistanceCache, "ball_chunks", recorded)
+    semigroup_audit(disk, DistanceCache(disk, disk.mesh_h), u, AUDIT_T)
+    assert len(asked) == len(AUDIT_T)
+    for sources in asked:
+        assert np.array_equal(sources, np.flatnonzero(ring))
+
+
+def test_partial_result_is_no_pl_function(disk, cache):
+    u = PLFunction(disk, RNG.normal(size=disk.n_vertices))
+    at = np.zeros(disk.n_vertices, dtype=bool)
+    at[:5] = True
+    res = hopf_lax(disk, cache, u, 0.1, at=at)
+    with pytest.raises(DomainError):
+        res.as_plfunction()
+    hopf_lax(disk, cache, u, 0.1).as_plfunction()
+
+
+def test_empty_mask_evaluates_and_sweeps_nothing(monkeypatch, disk):
+    calls = _count_sweeps(monkeypatch)
+    u = PLFunction(disk, RNG.normal(size=disk.n_vertices))
+    cache = DistanceCache(disk, disk.mesh_h)
+    res = hopf_lax(disk, cache, u, 0.2, at=np.zeros(disk.n_vertices, dtype=bool))
+    assert calls == []
+    assert cache.ball_bytes == 0
+    assert np.isnan(res.values).all() and np.isnan(res.foot_dist).all()
+    assert (res.foot == -1).all()
+    assert res.prune_radius == 0.0
+
+
+@pytest.mark.parametrize("at", [np.ones(5, dtype=bool), lambda v: True])
+def test_rejects_a_mask_that_is_not_one_flag_per_vertex(disk, cache, at):
+    u = PLFunction.constant(disk, 0.0)
+    with pytest.raises(DomainError):
+        hopf_lax(disk, cache, u, 0.1, at=at)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_rejects_non_finite_t(disk, cache, bad):
+    u = PLFunction(disk, 1.0 + disk.embedding @ [0.6, -0.5])
+    with pytest.raises(DomainError):
+        hopf_lax(disk, cache, u, bad)
+    with pytest.raises(DomainError):
+        semigroup_audit(disk, cache, u, [0.05, bad])
+
+
+@pytest.mark.parametrize("margin", [math.nan, -0.1])
+def test_margin_mask_rejects_nan_and_negative_margins(margin):
+    disk = flat_disk(1.0, 0.2)
+    with pytest.raises(DomainError):
+        interior_margin_mask(disk, DistanceCache(disk, disk.mesh_h), margin)

@@ -53,6 +53,12 @@ def test_harmonic_solve_linear_exact(disk, op):
     assert np.abs(u.values - g.values).max() <= 1e-8
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10])
+def test_dirichlet_solve_rejects_a_tolerance_that_is_not_positive(disk, op, tol):
+    with pytest.raises(DomainError):
+        solve_poisson_dirichlet(disk, op, None, 0.0, tol=tol)
+
+
 def test_harmonic_solve_constant_exact(disk, op):
     g = PLFunction.constant(disk, 4.2)
     u = solve_poisson_dirichlet(disk, op, None, g, tol=1e-12)

@@ -378,6 +378,21 @@ def test_ball_volume_flat_disk():
         assert ball_volume(disk, fld, r) == pytest.approx(math.pi * r * r, rel=0.02)
 
 
+def test_ball_volume_rejects_nan_radius():
+    disk = flat_disk(1.0, 0.2)
+    with pytest.raises(DomainError):
+        ball_volume(disk, distance_field(disk, 0, 0.1), math.nan)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -0.1])
+def test_steiner_spacing_must_be_finite_and_positive(h):
+    disk = flat_disk(1.0, 0.2)
+    with pytest.raises(DomainError):
+        disk.graph(h)
+    with pytest.raises(DomainError):
+        DistanceCache(disk, h).field(0)
+
+
 def test_off_roundtrip_flat(tmp_path):
     disk = flat_disk(1.0, 0.2)
     path = tmp_path / "disk.off"
