@@ -109,17 +109,22 @@ def interior_margin_mask(space: ConeSurface, cache: DistanceCache,
 
 
 def semigroup_audit(space: ConeSurface, cache: DistanceCache, u: PLFunction,
-                    t_grid, derivative_tol: float | None = None) -> ExperimentReport:
+                    t_grid) -> ExperimentReport:
     """Monotonicity in t, the quantitative decay bound, and the derivative law.
 
     Checks, on nodes at distance > t_max Lip(u) + 3h from the boundary:
     exact monotone decrease of t -> u_t; the two-sided bound
     0 <= u_t - u_{t+s} <= (s/2) Lip^2(u_t); and the finite-difference
-    derivative (u_{t+s} - u_t)/s against -|grad u_t|^2 / 2.
+    derivative (u_{t+s} - u_t)/s against -|grad u_t|^2 / 2, to
+    h + (t_max - t_min) / 4.  The grid needs at least two values, all
+    distinct.
     """
     t_grid = sorted(float(t) for t in t_grid)
-    if not t_grid or not all(math.isfinite(t) and t > 0 for t in t_grid):
-        raise DomainError("t grid must be nonempty, finite and positive")
+    if not all(math.isfinite(t) and t > 0 for t in t_grid):
+        raise DomainError("t grid must be finite and positive")
+    if len(t_grid) < 2 or any(a == b for a, b in zip(t_grid, t_grid[1:])):
+        raise DomainError(f"t grid needs at least two distinct values, none repeated, "
+                          f"got {t_grid}")
     lip_u = lip_field(space, u).max()
     margin = t_grid[-1] * lip_u + 3 * space.mesh_h
     inner = interior_margin_mask(space, cache, margin)
@@ -131,8 +136,7 @@ def semigroup_audit(space: ConeSurface, cache: DistanceCache, u: PLFunction,
     ring[space.faces[inner[space.faces].any(axis=1)]] = True
     # largest t first: its balls cover every smaller t's
     results = {t: hopf_lax(space, cache, u, t, at=ring) for t in reversed(t_grid)}
-    if derivative_tol is None:
-        derivative_tol = space.mesh_h + 0.25 * (t_grid[-1] - t_grid[0])
+    derivative_tol = space.mesh_h + 0.25 * (t_grid[-1] - t_grid[0])
 
     mono_slack = math.inf
     bound_slack = math.inf

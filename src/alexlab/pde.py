@@ -100,16 +100,6 @@ def solve_poisson_dirichlet(space: ConeSurface, op: DirichletOperator, f, g,
     return PLFunction(space, u)
 
 
-def solve_region_dirichlet(space, op, region_mask, f, g_values, tol=1e-10):
-    """Dirichlet solve on a sub-region: nodes outside keep g, the region's
-    node boundary is everything in the region adjacent to the outside."""
-    region = np.asarray(region_mask, bool)
-    if not region.any():
-        raise DomainError("empty region")
-    bmask = ~region | op.boundary
-    return solve_poisson_dirichlet(space, op, f, g_values, tol, boundary_mask=bmask)
-
-
 def check_maximum_principle(space: ConeSurface, u: PLFunction,
                             region_mask) -> ExperimentReport:
     """Weak and strong maximum principle report for u on a region.
@@ -266,12 +256,17 @@ class HarmonicMeasure:
     solver_tol: float = 1e-10
 
     def mu_samples(self, phi: PLFunction) -> np.ndarray:
-        """u_r(p) for each grid radius: harmonic extension of phi into B_p(r)."""
+        """u_r(p) for each grid radius: harmonic extension of phi into B_p(r).
+
+        Nodes outside the ball or on the surface boundary keep phi; the
+        rest are solved for.
+        """
         _check_host(self.space, phi)
         out = np.empty(len(self.radii))
         for idx, region in enumerate(self.balls):
-            u = solve_region_dirichlet(
-                self.space, self.op, region, None, phi.values, self.solver_tol
+            u = solve_poisson_dirichlet(
+                self.space, self.op, None, phi.values, self.solver_tol,
+                boundary_mask=~region | self.op.boundary,
             )
             out[idx] = u.values[self.center]
         return out

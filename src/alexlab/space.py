@@ -2,7 +2,9 @@
 
 A surface is a set of Euclidean triangles glued along edges of equal
 length.  Geometry is intrinsic: faces plus per-edge lengths; embedding
-coordinates are optional metadata produced by the generators.  Geodesic
+coordinates are optional metadata produced by the generators.  Lengths
+enter :func:`build_surface` one way, as a function of the edge endpoint
+arrays; :func:`load_off` is the one reader of (i, j, L) length records.  Geodesic
 distances are approximated by shortest paths on a Steiner-refined graph
 (edge subdivision plus in-face crossing edges), which overestimates the
 true distance by O(h).
@@ -52,10 +54,6 @@ BALL_CHUNK = 256
 # budget (one chunk for every stored row) warm Hopf-Lax on a 5610-vertex
 # disk at t = 0.2 was 1.2 to 1.7 times slower.
 BALL_READ = 2**16
-
-# DistanceCache.vertex_block sweeps at most this many graph-node distances
-# (sources x graph nodes) per Dijkstra call.
-BLOCK_CELLS = 16_000_000
 
 
 def _first(mask) -> int:
@@ -125,21 +123,6 @@ def _incidence(faces: np.ndarray, n_vertices: int) -> _Incidence:
     )
 
 
-class _EdgeIndex:
-    """Read-only {(i, j): edge id} lookup, in either endpoint order."""
-
-    def __init__(self, edges: np.ndarray, n_vertices: int):
-        self._n = n_vertices
-        self._keys = edges[:, 0] * n_vertices + edges[:, 1]
-
-    def __getitem__(self, ij) -> int:
-        i, j = (int(x) for x in ij)
-        pos, found = _find(self._keys, min(i, j) * self._n + max(i, j))
-        if not (0 <= min(i, j) and max(i, j) < self._n and found):
-            raise KeyError(ij)
-        return int(pos)
-
-
 class ConeSurface:
     """Triangulated polyhedral metric surface with cone singularities.
 
@@ -157,7 +140,6 @@ class ConeSurface:
 
         self.edges = incidence.edges
         self.edge_lengths = np.asarray(edge_lengths, dtype=float)
-        self.edge_index = _EdgeIndex(self.edges, self.n_vertices)
         # side s of face f is opposite local vertex s
         self.face_edge = incidence.face_edge
         self.face_side_len = self.edge_lengths[self.face_edge]
@@ -257,20 +239,13 @@ def build_surface(faces, edge_lengths, declared_k=0.0, embedding=None,
                   mesh_h=None) -> ConeSurface:
     """Validate raw face/edge data and assemble a ConeSurface.
 
-    edge_lengths gives the length of every edge of the faces, as one of:
-
-    - a function of the endpoint arrays (u, v) of all edges that returns
-      their lengths as an array.  Edges come sorted by (min, max), each
-      oriented the way the first face on it runs it;
-    - a dict {(i, j): L};
-    - an iterable of (i, j, L) records.
-
-    Duplicate records must agree to 1e-9 relative or the gluing is
-    rejected, and a record for a pair that is not a face side is rejected.
-    Every edge must lie on at most two faces, and the corners at each
-    vertex must form one fan.  With at most two faces per edge, one fan is
-    a cycle around an interior vertex or an arc between the two boundary
-    edges at a boundary vertex.
+    edge_lengths is a function of the endpoint arrays (u, v) of all edges
+    that returns their lengths as an array, each finite and positive.
+    Edges come sorted by (min, max), each oriented the way the first face
+    on it runs it.  Every edge must lie on at most two faces, and the
+    corners at each vertex must form one fan.  With at most two faces per
+    edge, one fan is a cycle around an interior vertex or an arc between
+    the two boundary edges at a boundary vertex.
     """
     # contiguous: load_off passes a column slice, and initial_direction's
     # scan of the faces runs ~6x slower on a strided array
@@ -288,15 +263,15 @@ def build_surface(faces, edge_lengths, declared_k=0.0, embedding=None,
     n_vertices = int(faces.max()) + 1
 
     inc = _incidence(faces, n_vertices)
-    if callable(edge_lengths):
-        u, v = inc.oriented_edges(faces)
-        lengths = np.asarray(edge_lengths(u, v), dtype=float)
-        if lengths.shape != (len(u),):
-            raise DomainError(f"edge length function returned shape {lengths.shape}, "
-                              f"expected ({len(u)},)")
-        _check_lengths(u, v, lengths)
-    else:
-        lengths = _record_lengths(edge_lengths, inc, n_vertices)
+    u, v = inc.oriented_edges(faces)
+    lengths = np.asarray(edge_lengths(u, v), dtype=float)
+    if lengths.shape != (len(u),):
+        raise DomainError(f"edge length function returned shape {lengths.shape}, "
+                          f"expected ({len(u)},)")
+    bad = ~(np.isfinite(lengths) & (lengths > 0))
+    if bad.any():
+        k = _first(bad)
+        raise DomainError(f"edge ({u[k]}, {v[k]}) has invalid length {lengths[k]}")
     crowded = inc.edge_degree > 2
     if crowded.any():
         i, j = inc.edges[_first(crowded)]
@@ -328,54 +303,6 @@ def build_surface(faces, edge_lengths, declared_k=0.0, embedding=None,
             f"with {n_bnd} boundary edges"
         )
     return surf
-
-
-def _check_lengths(i, j, lengths) -> None:
-    bad = ~(np.isfinite(lengths) & (lengths > 0))
-    if bad.any():
-        k = _first(bad)
-        raise DomainError(f"edge ({i[k]}, {j[k]}) has invalid length {lengths[k]}")
-
-
-def _record_lengths(edge_lengths, inc: _Incidence, n_vertices) -> np.ndarray:
-    """Per-edge lengths from a dict {(i, j): L} or from (i, j, L) records."""
-    if isinstance(edge_lengths, dict):
-        pairs, lengths = list(edge_lengths), list(edge_lengths.values())
-        i, j = zip(*pairs) if pairs else ((), ())
-    else:
-        records = list(edge_lengths)
-        i, j, lengths = zip(*records) if records else ((), (), ())
-    i = np.asarray(i, dtype=np.int64)
-    j = np.asarray(j, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=float)
-    if np.any(i == j):
-        k = _first(i == j)
-        raise InconsistentGluingError(f"degenerate edge ({i[k]}, {j[k]})")
-    _check_lengths(i, j, lengths)
-
-    def no_side(lo, hi):
-        return DomainError(
-            f"edge ({lo}, {hi}) has a declared length but is not a side of any face"
-        )
-
-    outside = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n_vertices)
-    if outside.any():
-        raise no_side(i[_first(outside)], j[_first(outside)])
-    keys = _edge_keys(i, j, n_vertices)
-    keep = _last_records(keys, lengths, n_vertices)
-    keys, lengths = keys[keep], lengths[keep]
-
-    at, found = _find(inc.edges[:, 0] * n_vertices + inc.edges[:, 1], keys)
-    if not found.all():
-        raise no_side(*divmod(int(keys[_first(~found)]), n_vertices))
-    out = np.full(len(inc.edges), np.nan)
-    out[at] = lengths
-    missing = np.isnan(out)
-    if missing.any():
-        side = inc.edge_sides[missing, 0].min()
-        i, j = inc.edges[inc.face_edge.ravel()[side]]
-        raise DomainError(f"face {side // 3} uses edge ({i}, {j}) with no declared length")
-    return out
 
 
 def _last_records(keys, lengths, n_vertices) -> np.ndarray:
@@ -490,8 +417,8 @@ def flat_disk(R: float, h: float) -> ConeSurface:
     which the gradient-field experiments rely on; the rim ring puts every
     boundary vertex exactly at radius R.  Vertex 0 is the center.
     """
-    if R <= 0 or h <= 0:
-        raise DomainError(f"flat_disk needs R > 0 and h > 0, got R={R}, h={h}")
+    if not (math.isfinite(R) and R > 0 and math.isfinite(h) and h > 0):
+        raise DomainError(f"flat_disk needs finite R > 0 and h > 0, got R={R}, h={h}")
     cutoff = R - 0.95 * h
     n = int(R / h) + 2
     k = np.arange(-n, n + 1)
@@ -515,8 +442,8 @@ def cone_disk(theta: float, R: float, h: float) -> ConeSurface:
     """Geodesic disk around the apex of a cone with total angle theta."""
     if not 0 < theta <= 4 * math.pi:
         raise DomainError(f"cone angle must lie in (0, 4 pi], got {theta}")
-    if R <= 0 or h <= 0:
-        raise DomainError(f"cone_disk needs R > 0 and h > 0, got R={R}, h={h}")
+    if not (math.isfinite(R) and R > 0 and math.isfinite(h) and h > 0):
+        raise DomainError(f"cone_disk needs finite R > 0 and h > 0, got R={R}, h={h}")
     radii, angles, faces = _polar_mesh(theta, R, h, 1.0)
 
     def lengths(u, v):
@@ -533,8 +460,8 @@ def cone_disk(theta: float, R: float, h: float) -> ConeSurface:
 
 def flat_torus(L: float, h: float) -> ConeSurface:
     """Square flat torus of side L on an n x n grid, n = round(L/h)."""
-    if L <= 0 or h <= 0:
-        raise DomainError(f"flat_torus needs L > 0 and h > 0, got L={L}, h={h}")
+    if not (math.isfinite(L) and L > 0 and math.isfinite(h) and h > 0):
+        raise DomainError(f"flat_torus needs finite L > 0 and h > 0, got L={L}, h={h}")
     n = round(L / h)
     if n < 3:
         # a 2 x 2 grid puts some edges on three faces: not a surface
@@ -580,7 +507,8 @@ def icosphere(subdivisions: int) -> ConeSurface:
     The declared curvature bound k = 1 is metadata justified by convergence
     to the round sphere, not certified.
     """
-    if subdivisions < 0 or int(subdivisions) != subdivisions:
+    if not (math.isfinite(subdivisions) and subdivisions >= 0
+            and int(subdivisions) == subdivisions):
         raise DomainError(f"subdivisions must be a nonnegative integer, got {subdivisions}")
     verts = _unit_rows(_ICO_VERTS)
     faces = np.asarray(_ICO_FACES, dtype=np.int64)
@@ -877,20 +805,14 @@ class DistanceCache:
     def vertex_block(self, sources, limit=np.inf):
         """Vertex-to-vertex distances (len(sources), V), inf beyond `limit`.
 
-        Chunked over sources to bound peak memory.
+        The result is a view of the (len(sources), graph nodes) sweep.
         """
         g = self.space.graph(self.h)
-        V = self.space.n_vertices
         sources = np.asarray(sources, dtype=np.int64)
-        out = np.empty((len(sources), V))
-        step = max(1, int(BLOCK_CELLS // max(g.n_nodes, 1)))
-        for lo in range(0, len(sources), step):
-            idx = sources[lo : lo + step]
-            # directed=True reads the matrix as given: it is U + U.T, exactly
-            # symmetric (see _SteinerGraph), so this equals the undirected search
-            d = csgraph.dijkstra(g.matrix, directed=True, indices=idx, limit=limit)
-            out[lo : lo + step] = d[:, :V]
-        return out
+        # directed=True reads the matrix as given: it is U + U.T, exactly
+        # symmetric (see _SteinerGraph), so this equals the undirected search
+        d = csgraph.dijkstra(g.matrix, directed=True, indices=sources, limit=limit)
+        return d[:, : self.space.n_vertices]
 
     def ball_chunks(self, sources, radii):
         """Distance balls of `sources`, in chunks of descending radius.
@@ -1107,6 +1029,14 @@ def initial_direction(space: ConeSurface, p: int, q: int, h: float,
     mate[order[:-1][pair]] = order[1:][pair]
     boundary = np.flatnonzero(space.edge_faces[slot_edge, 1] < 0)
     entry = [int(boundary[-1]) if len(boundary) else int(np.argmin(slot_edge))]
+    # the first path node: a vertex, joined to p by an edge at p, or a
+    # Steiner point on an edge
+    node = int(nodes[1])
+    V = space.n_vertices
+    if node < V:
+        e = int(slot_edge[_first((space.edges[slot_edge] == node).any(axis=1))])
+    else:
+        e = int(graph.steiner_edge[node - V])
     # the corners at p form one fan (build_surface checks it), so leaving
     # each corner by its other side into the mate's corner visits them all
     mate = mate.tolist()
@@ -1120,9 +1050,6 @@ def initial_direction(space: ConeSurface, p: int, q: int, h: float,
     angle = np.zeros(len(walk) + 1)
     np.cumsum(space.corner_angle[f[walk], t[walk]], out=angle[1:])
 
-    node = int(nodes[1])
-    V = space.n_vertices
-    e = space.edge_index[p, node] if node < V else int(graph.steiner_edge[node - V])
     if p in space.edges[e]:
         return float(angle[edge_at.index(e)])
     # the segment crosses the first face at p opposite edge e, to the

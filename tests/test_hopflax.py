@@ -191,8 +191,22 @@ def test_semigroup_audit_distance_cone(disk, cache):
     # t above mesh resolution; the kink ring d = t dominates the error
     fld = distance_field(disk, 0, 0.05)
     u = PLFunction(disk, fld.vertex_dist)
-    rep = semigroup_audit(disk, cache, u, [0.2, 0.3], derivative_tol=0.4)
-    assert rep.passed
+    rep = semigroup_audit(disk, cache, u, [0.2, 0.3])
+    # monotonicity and the decay bound hold; the derivative law holds to
+    # 0.4, looser than the audit's h + (t_max - t_min) / 4 = 0.125
+    assert rep.slacks[0] >= -1e-12
+    assert rep.slacks[1] >= -1e-12
+    assert rep.fitted["max_derivative_error"] <= 0.4 + 1e-12
+
+
+@pytest.mark.parametrize("t_grid", [[0.1], [0.1, 0.1], [0.2, 0.1, 0.2]])
+def test_semigroup_audit_needs_two_distinct_times(monkeypatch, disk, cache, t_grid):
+    # the grid is rejected before anything is computed
+    monkeypatch.setattr(hopflax_mod, "lip_field", None)
+    monkeypatch.setattr(hopflax_mod, "hopf_lax", None)
+    u = PLFunction(disk, 1.0 + disk.embedding @ [0.6, -0.5])
+    with pytest.raises(DomainError, match="two distinct values"):
+        semigroup_audit(disk, cache, u, t_grid)
 
 
 def test_footpoint_audit_constant(disk, cache):

@@ -256,13 +256,13 @@ def test_first_eigenvalue_does_not_depend_on_vertex_numbering():
     # not see the numbering at all
     ico = icosphere(3)
     perm = np.random.default_rng(17).permutation(ico.n_vertices)  # old id -> new id
-    i, j = perm[ico.edges].T
-    relabelled = build_surface(
-        perm[ico.faces],
-        zip(i.tolist(), j.tolist(), ico.edge_lengths.tolist()),
-        declared_k=ico.declared_k,
-        embedding=ico.embedding[np.argsort(perm)],
-    )
+    verts = ico.embedding[np.argsort(perm)]
+
+    def great_circle(u, v):
+        return np.arccos(np.clip(np.einsum("ij,ij->i", verts[u], verts[v]), -1.0, 1.0))
+
+    relabelled = build_surface(perm[ico.faces], great_circle,
+                               declared_k=ico.declared_k, embedding=verts)
     lam, _ = first_nonzero_eigenpair(ico, assemble_operator(ico))
     lam_p, _ = first_nonzero_eigenpair(relabelled, assemble_operator(relabelled))
     assert lam_p == pytest.approx(lam, rel=1e-12, abs=0)

@@ -35,11 +35,22 @@ from alexlab.space import (
 RNG = np.random.default_rng(20240817)
 
 
+def table(lengths):
+    """Edge length function of a {(i, j): L} table, in either endpoint order."""
+    both = {**lengths, **{(j, i): L for (i, j), L in lengths.items()}}
+    return lambda u, v: np.array([both[ij] for ij in zip(u.tolist(), v.tolist())])
+
+
+def edge_id(surf, i, j):
+    """Id of the edge with endpoints i and j."""
+    return int(np.flatnonzero((surf.edges == sorted((i, j))).all(axis=1))[0])
+
+
 def unit_square():
     faces = [(0, 1, 2), (0, 2, 3)]
     s2 = math.sqrt(2.0)
     lengths = {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (0, 3): 1.0, (0, 2): s2}
-    return build_surface(faces, lengths, embedding=np.asarray(
+    return build_surface(faces, table(lengths), embedding=np.asarray(
         [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
     ))
 
@@ -55,15 +66,20 @@ def test_build_surface_square():
 
 def test_build_surface_triangle_inequality():
     with pytest.raises(TriangleInequalityError):
-        build_surface([(0, 1, 2)], {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 3.0})
+        build_surface([(0, 1, 2)], table({(0, 1): 1.0, (1, 2): 1.0, (0, 2): 3.0}))
 
 
-def test_build_surface_inconsistent_gluing():
-    with pytest.raises(InconsistentGluingError):
-        build_surface(
-            [(0, 1, 2), (0, 2, 3)],
-            [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.2), (0, 2, 1.4), (2, 3, 1.0), (0, 3, 1.0)],
-        )
+@pytest.mark.parametrize("lengths, message", [
+    (lambda u, v: np.ones(len(u) + 1), r"returned shape \(4,\), expected \(3,\)"),
+    (lambda u, v: np.where(u + v == 2, math.nan, 1.0), r"edge \(2, 0\) has invalid length nan"),
+    (lambda u, v: np.where(u + v == 2, math.inf, 1.0), r"edge \(2, 0\) has invalid length inf"),
+    (lambda u, v: np.where(u + v == 2, 0.0, 1.0), r"edge \(2, 0\) has invalid length 0.0"),
+    (lambda u, v: np.where(u + v == 2, -1.0, 1.0), r"edge \(2, 0\) has invalid length -1.0"),
+], ids=["shape", "nan", "inf", "zero", "negative"])
+def test_build_surface_rejects_bad_lengths(lengths, message):
+    # the triangle's edges, as the length function sees them: (1, 2), (2, 0), (0, 1)
+    with pytest.raises(DomainError, match=message):
+        build_surface([(0, 1, 2)], lengths)
 
 
 def test_build_surface_disconnected():
@@ -73,7 +89,7 @@ def test_build_surface_disconnected():
         lengths[(a, b)] = lengths[(b, c)] = 1.0
         lengths[(min(a, c), max(a, c))] = 1.0
     with pytest.raises(DisconnectedError):
-        build_surface(faces, lengths)
+        build_surface(faces, table(lengths))
 
 
 def test_cone_disk_roundtrip_apex_angle(tmp_path):
@@ -125,6 +141,13 @@ def test_generator_parameter_validation():
         cone_disk(5 * math.pi, 1.0, 0.1)
     with pytest.raises(DomainError):
         flat_torus(1.0, 0.0)
+    for bad in (lambda: flat_disk(1.0, math.nan), lambda: flat_disk(math.nan, 0.2),
+                lambda: flat_disk(math.inf, 0.2), lambda: flat_disk(1.0, math.inf),
+                lambda: cone_disk(1.0, 1.0, math.nan), lambda: flat_torus(1.0, math.nan),
+                lambda: flat_torus(math.inf, 0.1), lambda: icosphere(math.nan),
+                lambda: icosphere(math.inf)):
+        with pytest.raises(DomainError):
+            bad()
     # round(L/h) = 2 would glue some edges to three faces
     for h in (0.5, 0.4):
         with pytest.raises(DomainError):
@@ -485,8 +508,7 @@ def test_off_lengths_trailer_overrides(tmp_path):
         "#lengths\n0 1 1.5\n"
     )
     surf = load_off(path)
-    e = surf.edge_index[(0, 1)]
-    assert surf.edge_lengths[e] == 1.5
+    assert surf.edge_lengths[edge_id(surf, 0, 1)] == 1.5
 
 
 def test_unreachable_error():
@@ -498,14 +520,8 @@ def test_unreachable_error():
         fld.distance_to(1)
 
 
-def test_edge_lengths_for_pairs_that_are_no_face_side_are_rejected():
-    lengths = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0, (0, 3): 1.0}
-    with pytest.raises(DomainError, match="not a side of any face"):
-        build_surface([(0, 1, 2)], lengths)
-
-
 def unit_edges(faces):
-    return {tuple(sorted((f[k], f[(k + 1) % 3]))): 1.0 for f in faces for k in range(3)}
+    return table({tuple(sorted((f[k], f[(k + 1) % 3]))): 1.0 for f in faces for k in range(3)})
 
 
 def test_build_surface_rejects_pinched_vertex():
@@ -628,14 +644,14 @@ def test_off_accepts_comments_blank_lines_and_crlf(text, tmp_path):
     assert np.array_equal(surf.faces, ref.faces)
     assert np.array_equal(surf.edge_lengths, ref.edge_lengths)
     assert np.array_equal(surf.embedding, ref.embedding)
-    assert surf.edge_lengths[surf.edge_index[(0, 1)]] == 1.5
+    assert surf.edge_lengths[edge_id(surf, 0, 1)] == 1.5
 
 
 def test_off_duplicate_length_records(tmp_path):
     path = tmp_path / "tri.off"
     path.write_text(TRIANGLE_LENGTHS + "0 1 1.3\n1 0 1.3\n")
     surf = load_off(path)
-    assert surf.edge_lengths[surf.edge_index[(0, 1)]] == 1.3
+    assert surf.edge_lengths[edge_id(surf, 0, 1)] == 1.3
     path.write_text(TRIANGLE_LENGTHS + "0 1 1.2\n1 0 1.3\n")
     with pytest.raises(InconsistentGluingError, match=r"edge \(0, 1\) declared with lengths 1.2 and 1.3"):
         load_off(path)
@@ -763,7 +779,7 @@ DIFFERENTIAL_MESHES = {
     # two faces on the same three vertices: the one surface whose faces meet
     # the same pair of Steiner points twice
     "doubled_triangle": lambda tmp: build_surface(
-        [[0, 1, 2], [0, 2, 1]], {(0, 1): 1.0, (1, 2): 1.2, (0, 2): 0.9}),
+        [[0, 1, 2], [0, 2, 1]], table({(0, 1): 1.0, (1, 2): 1.2, (0, 2): 0.9})),
 }
 
 
@@ -885,7 +901,7 @@ def loop_initial_direction(surf, graph, p, node):
         cur_edge = exit_edge
     V = surf.n_vertices
     if node < V:
-        return edge_angle[surf.edge_index[p, node]] % total, total
+        return edge_angle[edge_id(surf, p, node)] % total, total
     e, t = int(graph.steiner_edge[node - V]), float(graph.steiner_frac[node - V])
     a, b = surf.edges[e]
     if a == p or b == p:
