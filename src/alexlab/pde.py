@@ -168,6 +168,10 @@ def first_nonzero_eigenpair(space: ConeSurface, op: DirichletOperator,
     first because it depends on the graph alone, while minimum degree on
     some input numberings (the icosphere's) fills in badly.
     """
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     if not space.is_closed:
         raise NotClosedError("first eigenpair needs a closed surface")
     K = op.stiffness

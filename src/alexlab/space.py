@@ -44,9 +44,15 @@ SINGULAR_ANGLE_TOL = 1e-9
 # Unbounded, the balls of a 21.6k-vertex disk at radius 0.9 take ~3 GB.
 BALL_CACHE_BYTES = 256 * 2**20
 
-# Sources per sweep: DistanceCache.ball_chunks sweeps at most this many
-# sources per chunk, so a chunk's dense sweep block is BALL_CHUNK x V floats.
-BALL_CHUNK = 256
+# Bytes of one cold sweep's block.  vertex_block returns a dense float64
+# block with a column per graph node, Steiner nodes included, so
+# DistanceCache.ball_chunks sweeps max(1, SWEEP_BYTES // (8 * graph nodes))
+# sources per chunk: 89 on a 2931-node graph, 5 on a 52187-node one.  2 MiB
+# rather than 1 MiB because glibc malloc raises its mmap and trim thresholds
+# to the largest block it has freed: after 1 MiB sweeps, warm Hopf-Lax ops
+# on a 1429-vertex disk (2-vCPU VM) took a median 31 and a mean 298 minor
+# page faults each, against 0 and 6 at 2 MiB.
+SWEEP_BYTES = 2**21
 
 # Stored ball entries read per chunk.  2**16 float64 entries are 512 KiB, so
 # one chunk's per-entry arrays stay within a 2 MiB L2 cache.  On a 2-vCPU
@@ -715,6 +721,13 @@ class _Records:
         return sparse.csr_matrix((val, (lo, hi)), shape=(n, n))
 
 
+def _check_vertex(space: ConeSurface, vertex) -> None:
+    """Reject an id that is not a vertex: Steiner nodes are not vertices."""
+    if not 0 <= vertex < space.n_vertices:
+        raise DomainError(
+            f"vertex {vertex} out of range [0, {space.n_vertices})")
+
+
 @dataclass
 class DistanceField:
     """Graph distances from one source vertex, with predecessors for tracing."""
@@ -730,6 +743,7 @@ class DistanceField:
         return self.node_dist[: self.surface.n_vertices]
 
     def distance_to(self, vertex: int) -> float:
+        _check_vertex(self.surface, vertex)
         d = self.node_dist[vertex]
         if not math.isfinite(d):
             raise UnreachableError(f"vertex {vertex} unreachable from {self.source}")
@@ -742,8 +756,7 @@ def distance_field(space: ConeSurface, source: int, h: float) -> DistanceField:
     Distances are exact on the Steiner graph and overestimate the true
     geodesic distance by O(h).
     """
-    if not 0 <= source < space.n_vertices:
-        raise DomainError(f"source vertex {source} out of range")
+    _check_vertex(space, source)
     g = space.graph(h)
     # directed=True: the matrix is U + U.T, exactly symmetric (see _SteinerGraph)
     dist, pred = csgraph.dijkstra(
@@ -775,7 +788,8 @@ class DistanceCache:
     sweeps that source again and replaces its row.  A request counts the
     entries within radius of all its stored rows once, by one bisection,
     and hands them out in chunks of at most ``BALL_READ`` stored entries
-    and ``BALL_CHUNK`` swept sources.  Stored rows take at
+    and as many swept sources as fit one ``SWEEP_BYTES`` sweep block of
+    the graph.  Stored rows take at
     most ``BALL_CACHE_BYTES`` (``ball_bytes`` counts them); a ball that
     would exceed the cap serves the request that swept it and is then
     dropped.
@@ -826,14 +840,18 @@ class DistanceCache:
         small are swept; the rest are read from the store, after one count
         of each stored row's entries within its radius for the whole
         request.  Chunks are cut along the descending-radius order: one
-        ends before it would sweep more than ``BALL_CHUNK`` sources or read
-        more than ``BALL_READ`` stored entries, and a single stored row
-        above that budget is a chunk of its own.  A chunk's swept sources
-        are swept together by one :meth:`vertex_block` call; their rows come
-        last in the chunk, and enter the store when the request ends.
+        ends before its sweep block would pass ``SWEEP_BYTES`` (8 bytes
+        per swept source and graph node) or it would read more than
+        ``BALL_READ`` stored entries.  Still, a chunk may always sweep one
+        source, and a single stored row above the read budget is a chunk
+        of its own.  A chunk's
+        swept sources are swept together by one :meth:`vertex_block` call;
+        their rows come last in the chunk, and enter the store when the
+        request ends.
         """
         sources = np.asarray(sources, dtype=np.int64)
         radii = np.broadcast_to(np.asarray(radii, dtype=float), sources.shape)
+        per_sweep = max(1, SWEEP_BYTES // (8 * self.space.graph(self.h).n_nodes))
         order = np.argsort(-radii, kind="stable")
         src, r = sources[order], radii[order]
         miss = self._covered[src] < r
@@ -850,7 +868,7 @@ class DistanceCache:
         try:
             lo = 0
             while lo < len(src):
-                hi = min(np.searchsorted(sweeps, sweeps[lo] + BALL_CHUNK, "right"),
+                hi = min(np.searchsorted(sweeps, sweeps[lo] + per_sweep, "right"),
                          np.searchsorted(reads, reads[lo] + BALL_READ, "right")) - 1
                 hi = max(int(hi), lo + 1)
                 hit = ~miss[lo:hi]
@@ -972,6 +990,7 @@ def trace_shortest_path(field: DistanceField, target: int):
     Returns (node ids, cumulative arclengths); the final arclength equals
     the graph distance exactly.
     """
+    _check_vertex(field.surface, target)
     if not math.isfinite(field.node_dist[target]):
         raise UnreachableError(
             f"vertex {target} unreachable from {field.source}"

@@ -313,10 +313,18 @@ DIFF_MESHES = {
 }
 
 
-# (BALL_READ, BALL_CHUNK): the defaults, then budgets that cut chunks at
-# every row or every few rows; each must hand out the same balls
-CHUNK_LIMITS = list(itertools.product((space_mod.BALL_READ, 97, 1),
-                                      (space_mod.BALL_CHUNK, 7, 1)))
+# (BALL_READ, SWEEP_BYTES) for a graph of n nodes: the defaults, then
+# budgets that cut chunks at every row or every few rows; each must hand
+# out the same balls.  A sweep of 7 sources takes 7 * 8 * n bytes, and a
+# 1-byte budget still sweeps one source per chunk.
+def chunk_limits(n_nodes):
+    return list(itertools.product((space_mod.BALL_READ, 97, 1),
+                                  (space_mod.SWEEP_BYTES, 7 * 8 * n_nodes, 1)))
+
+
+def sources_per_sweep(space):
+    """The most sources one ball_chunks sweep may take on `space`'s graph."""
+    return max(1, space_mod.SWEEP_BYTES // (8 * space.graph(space.mesh_h).n_nodes))
 
 
 @pytest.mark.parametrize("mesh", sorted(DIFF_MESHES))
@@ -333,9 +341,9 @@ def test_ball_cache_matches_dense_blocks(monkeypatch, mesh):
     dense = {(name, t): dense_hopf_lax(space, ref, u, t)
              for name, u in data.items() for t in set().union(*orders.values())}
     masks = {margin: dense_margin_mask(space, ref, margin) for margin in margins}
-    for read, chunk in CHUNK_LIMITS:
+    for read, sweep_bytes in chunk_limits(space.graph(space.mesh_h).n_nodes):
         monkeypatch.setattr(space_mod, "BALL_READ", read)
-        monkeypatch.setattr(space_mod, "BALL_CHUNK", chunk)
+        monkeypatch.setattr(space_mod, "SWEEP_BYTES", sweep_bytes)
         cache = DistanceCache(space, space.mesh_h)
         for name, u in data.items():
             for ts in orders.values():
@@ -398,9 +406,10 @@ def test_ball_cache_byte_cap(monkeypatch, disk):
 def test_ball_rows_hold_exactly_the_requested_ball(monkeypatch, disk):
     dense = DistanceCache(disk, disk.mesh_h).vertex_block(np.arange(disk.n_vertices))
     calls = _count_sweeps(monkeypatch)
-    for read, chunk in CHUNK_LIMITS:
+    for read, sweep_bytes in chunk_limits(disk.graph(disk.mesh_h).n_nodes):
         monkeypatch.setattr(space_mod, "BALL_READ", read)
-        monkeypatch.setattr(space_mod, "BALL_CHUNK", chunk)
+        monkeypatch.setattr(space_mod, "SWEEP_BYTES", sweep_bytes)
+        chunk = sources_per_sweep(disk)
         cache = DistanceCache(disk, disk.mesh_h)
         rng = np.random.default_rng(3)
         src = rng.permutation(disk.n_vertices)[:300]
@@ -450,7 +459,21 @@ def test_warm_hopf_lax_reads_in_few_chunks(monkeypatch):
         assert calls == []
         assert sum(chunks) == disk.n_vertices
         # per-chunk budgets, not a fixed count of sources per chunk
-        assert len(chunks) < math.ceil(disk.n_vertices / space_mod.BALL_CHUNK) == 6
+        assert len(chunks) < 6
+
+
+@pytest.mark.parametrize("h", (0.1, 0.05))
+def test_cold_sweeps_fit_the_byte_budget(monkeypatch, h):
+    disk = flat_disk(1.0, h)
+    cache = DistanceCache(disk, disk.mesh_h)
+    n_nodes = disk.graph(disk.mesh_h).n_nodes
+    calls = _count_sweeps(monkeypatch)
+    u = PLFunction(disk, 1.0 + disk.embedding @ [0.6, -0.5])
+    hopf_lax(disk, cache, u, 0.2)
+    assert calls
+    assert all(n * n_nodes * 8 <= space_mod.SWEEP_BYTES or n == 1 for n in calls)
+    # the source count follows the graph size
+    assert max(calls) == sources_per_sweep(disk)
 
 
 def test_prune_radius_is_twice_t_times_max_gradient():

@@ -274,6 +274,21 @@ def test_first_eigenpair_iteration_cap():
         first_nonzero_eigenpair(torus, assemble_operator(torus), max_iter=3)
 
 
+@pytest.mark.parametrize("kwargs", [dict(tol=math.nan), dict(tol=0.0),
+                                    dict(tol=-1.0), dict(tol=math.inf),
+                                    dict(max_iter=0), dict(max_iter=-1)])
+def test_first_eigenpair_rejects_bad_tol_and_max_iter(monkeypatch, kwargs):
+    torus = flat_torus(1.0, 1 / 8)
+    op = assemble_operator(torus)
+
+    def no_factor(*args, **kw):
+        raise AssertionError("factored before checking the arguments")
+
+    monkeypatch.setattr(pde.sla, "splu", no_factor)
+    with pytest.raises(DomainError):
+        first_nonzero_eigenpair(torus, op, **kwargs)
+
+
 def test_first_eigenpair_needs_closed(disk, op):
     with pytest.raises(NotClosedError):
         first_nonzero_eigenpair(disk, op)

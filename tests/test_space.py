@@ -212,6 +212,31 @@ def test_trace_shortest_path_consistency():
     assert list(nodes0) == [0] and arcs0[0] == 0.0
 
 
+def non_vertices():
+    """flat_disk(1, 0.3) at spacing 0.1, and ids it must refuse as vertices:
+    -1, V and a Steiner node."""
+    disk = flat_disk(1.0, 0.3)
+    V = disk.n_vertices
+    assert disk.graph(0.1).n_nodes > V + 2
+    return disk, (-1, V, V + 2)
+
+
+def test_distance_to_rejects_non_vertices():
+    disk, bad = non_vertices()
+    fld = distance_field(disk, 0, 0.1)
+    for v in bad:
+        with pytest.raises(DomainError, match="out of range"):
+            fld.distance_to(v)
+
+
+def test_trace_shortest_path_rejects_non_vertices():
+    disk, bad = non_vertices()
+    fld = distance_field(disk, 0, 0.1)
+    for v in bad:
+        with pytest.raises(DomainError, match="out of range"):
+            trace_shortest_path(fld, v)
+
+
 def test_trace_path_cone_unrolling_bound():
     # path between two rim points of a theta < 2pi cone is no longer than
     # the flat-unrolled straight chord, up to graph stretch
@@ -279,6 +304,17 @@ def test_initial_direction_errors():
     disk = flat_disk(1.0, 0.2)
     with pytest.raises(DomainError):
         initial_direction(disk, 3, 3, 0.1)
+
+
+def test_initial_direction_rejects_non_vertices():
+    disk, bad = non_vertices()
+    cache = DistanceCache(disk, 0.1)
+    for v in bad:
+        for p, q in ((0, v), (v, 0)):
+            with pytest.raises(DomainError, match="out of range"):
+                initial_direction(disk, p, q, 0.1, cache)
+            with pytest.raises(DomainError, match="out of range"):
+                initial_direction(disk, p, q, 0.1)
 
 
 def test_initial_direction_spans_the_boundary_arc():
@@ -375,6 +411,17 @@ def test_toponogov_rejects_a_cache_of_another_surface():
     torus, other = flat_torus(1.0, 1 / 12), flat_torus(1.0, 1 / 12)
     with pytest.raises(DomainError):
         toponogov_check(torus, DistanceCache(other, 1 / 24), (0, 1, 2, 3), 0.0, 1.0)
+
+
+def test_toponogov_rejects_non_vertices():
+    disk, bad = non_vertices()
+    cache = DistanceCache(disk, 0.1)
+    for v in bad:
+        for i in range(4):
+            quad = [0, 1, 2, 3]
+            quad[i] = v
+            with pytest.raises(DomainError, match="out of range"):
+                toponogov_check(disk, cache, tuple(quad), 0.0, 0.1)
 
 
 def test_toponogov_saddle_vertex_fails_kappa0():
