@@ -49,9 +49,9 @@ BALL_CACHE_BYTES = 256 * 2**20
 # DistanceCache.ball_chunks sweeps max(1, SWEEP_BYTES // (8 * graph nodes))
 # sources per chunk: 89 on a 2931-node graph, 5 on a 52187-node one.  2 MiB
 # rather than 1 MiB because glibc malloc raises its mmap and trim thresholds
-# to the largest block it has freed: after 1 MiB sweeps, warm Hopf-Lax ops
-# on a 1429-vertex disk (2-vCPU VM) took a median 31 and a mean 298 minor
-# page faults each, against 0 and 6 at 2 MiB.
+# to the largest block it has freed: after 1 MiB sweeps, in some runs warm
+# Hopf-Lax ops on a 1429-vertex disk (2-vCPU VM) took 100 to 300 minor page
+# faults each on average, against 0 at 2 MiB.
 SWEEP_BYTES = 2**21
 
 # Stored ball entries read per chunk.  2**16 float64 entries are 512 KiB, so
@@ -844,10 +844,9 @@ class DistanceCache:
         per swept source and graph node) or it would read more than
         ``BALL_READ`` stored entries.  Still, a chunk may always sweep one
         source, and a single stored row above the read budget is a chunk
-        of its own.  A chunk's
-        swept sources are swept together by one :meth:`vertex_block` call;
-        their rows come last in the chunk, and enter the store when the
-        request ends.
+        of its own.  A chunk's swept sources are swept together by one
+        :meth:`vertex_block` call; their rows come last in the chunk, and
+        enter the store when the request ends.
         """
         sources = np.asarray(sources, dtype=np.int64)
         radii = np.broadcast_to(np.asarray(radii, dtype=float), sources.shape)
