@@ -30,7 +30,7 @@ import numpy as np
 from .calculus import PLFunction, _check_host, _region_mask, face_gradient, lip_field
 from .exceptions import DomainError
 from .report import ExperimentReport, make_report
-from .space import ConeSurface, DistanceCache
+from .space import ConeSurface, DistanceCache, _check_cache
 
 PRUNE_PAD = 1e-9  # absolute padding on the pruning radius (float safety)
 
@@ -70,6 +70,7 @@ def hopf_lax(space: ConeSurface, cache: DistanceCache, u: PLFunction,
     ball of such a vertex is read or swept.
     """
     _check_host(space, u)
+    _check_cache(space, cache)
     if not (math.isfinite(t) and t > 0):
         raise DomainError(f"Hopf-Lax needs a finite t > 0, got {t}")
     V = space.n_vertices
@@ -99,6 +100,7 @@ def interior_margin_mask(space: ConeSurface, cache: DistanceCache,
     """Vertices farther than `margin` from the surface boundary."""
     if not margin >= 0:
         raise DomainError(f"boundary margin must be >= 0, got {margin}")
+    _check_cache(space, cache)
     inner = np.ones(space.n_vertices, dtype=bool)
     if space.is_closed:
         return inner

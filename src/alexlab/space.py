@@ -44,22 +44,19 @@ SINGULAR_ANGLE_TOL = 1e-9
 # Unbounded, the balls of a 21.6k-vertex disk at radius 0.9 take ~3 GB.
 BALL_CACHE_BYTES = 256 * 2**20
 
-# Bytes of one cold sweep's block.  vertex_block returns a dense float64
-# block with a column per graph node, Steiner nodes included, so
-# DistanceCache.ball_chunks sweeps max(1, SWEEP_BYTES // (8 * graph nodes))
-# sources per chunk: 89 on a 2931-node graph, 5 on a 52187-node one.  2 MiB
-# rather than 1 MiB because glibc malloc raises its mmap and trim thresholds
-# to the largest block it has freed: after 1 MiB sweeps, in some runs warm
-# Hopf-Lax ops on a 1429-vertex disk (2-vCPU VM) took 100 to 300 minor page
-# faults each on average, against 0 at 2 MiB.
-SWEEP_BYTES = 2**21
-
-# Stored ball entries read per chunk.  2**16 float64 entries are 512 KiB, so
-# one chunk's per-entry arrays stay within a 2 MiB L2 cache.  On a 2-vCPU
-# Xeon VM with that L2, 2**17 and 2**18 measured the same, and with no
-# budget (one chunk for every stored row) warm Hopf-Lax on a 5610-vertex
-# disk at t = 0.2 was 1.2 to 1.7 times slower.
-BALL_READ = 2**16
+# Bytes of one DistanceCache.ball_chunks chunk.  A read chunk allocates 36
+# bytes per stored entry (three int64 arrays in _row_entries, its int32 id
+# and float64 distance): at most 58254 entries.  Counting only the 12 bytes
+# of id and distance made warm Hopf-Lax on a 5610-vertex disk at t = 0.2
+# ~20% slower (2-vCPU VM, 2 MiB of L2 per core).  A sweep's dense float64
+# block has a column per graph node, Steiner nodes included, so a chunk
+# sweeps max(1, CHUNK_BYTES // (8 * graph nodes)) sources: 89 on a
+# 2931-node graph, 5 on a 52187-node one.  2 MiB rather than 1 MiB because
+# glibc malloc raises its mmap and trim thresholds to the largest block it
+# has freed: after 1 MiB sweeps, in some runs warm Hopf-Lax ops on a
+# 1429-vertex disk (2-vCPU VM) took 100 to 300 minor page faults each on
+# average, against 0 at 2 MiB.
+CHUNK_BYTES = 2**21
 
 
 def _first(mask) -> int:
@@ -728,6 +725,14 @@ def _check_vertex(space: ConeSurface, vertex) -> None:
             f"vertex {vertex} out of range [0, {space.n_vertices})")
 
 
+def _check_cache(space: ConeSurface, cache: "DistanceCache", h=None) -> None:
+    """Reject a distance cache built for another surface, or not at spacing h."""
+    if cache.space is not space:
+        raise DomainError("distance cache belongs to a different surface")
+    if h is not None and cache.h != h:
+        raise DomainError(f"distance cache has spacing {cache.h}, not {h}")
+
+
 @dataclass
 class DistanceField:
     """Graph distances from one source vertex, with predecessors for tracing."""
@@ -785,11 +790,9 @@ class DistanceCache:
 
     A ball request for a radius at most the covered one runs no sweep and
     reads the row's prefix within the radius asked for; a larger radius
-    sweeps that source again and replaces its row.  A request counts the
-    entries within radius of all its stored rows once, by one bisection,
-    and hands them out in chunks of at most ``BALL_READ`` stored entries
-    and as many swept sources as fit one ``SWEEP_BYTES`` sweep block of
-    the graph.  Stored rows take at
+    sweeps that source again and replaces its row.  A request first reads
+    its stored rows in the order given, then sweeps the rest by descending
+    radius, in chunks cut to ``CHUNK_BYTES``.  Stored rows take at
     most ``BALL_CACHE_BYTES`` (``ball_bytes`` counts them); a ball that
     would exceed the cap serves the request that swept it and is then
     dropped.
@@ -829,61 +832,50 @@ class DistanceCache:
         return d[:, : self.space.n_vertices]
 
     def ball_chunks(self, sources, radii):
-        """Distance balls of `sources`, in chunks of descending radius.
+        """Distance balls of `sources`: stored rows first, then swept ones.
 
         `radii` is one radius per source, or one for all.  Yields
         ``(idx, ptr, ids, dist)`` per chunk: row k belongs to source
         ``idx[k]`` and is ``ids[ptr[k]:ptr[k+1]]`` with graph distances
         ``dist[ptr[k]:ptr[k+1]]``.  A row holds exactly the vertices within
         the requested radius of its source, in ascending distance with ties
-        in ascending id.  The sources whose stored balls are missing or too
-        small are swept; the rest are read from the store, after one count
-        of each stored row's entries within its radius for the whole
-        request.  Chunks are cut along the descending-radius order: one
-        ends before its sweep block would pass ``SWEEP_BYTES`` (8 bytes
-        per swept source and graph node) or it would read more than
-        ``BALL_READ`` stored entries.  Still, a chunk may always sweep one
-        source, and a single stored row above the read budget is a chunk
-        of its own.  A chunk's swept sources are swept together by one
-        :meth:`vertex_block` call; their rows come last in the chunk, and
-        enter the store when the request ends.
+        in ascending id.  A chunk is all stored rows or all swept ones.
+
+        The sources whose stored balls cover their radii are read first, in
+        the order given, after one count of each row's entries within its
+        radius; a chunk ends before its entries, at 36 bytes each, would
+        pass ``CHUNK_BYTES``, but a single row above that is a chunk of its
+        own.  The other sources are then swept by descending radius, as many
+        per :meth:`vertex_block` call as fit its dense block in
+        ``CHUNK_BYTES`` (8 bytes per source and graph node), and at least
+        one.  Each sweep is a chunk; its rows enter the store when the
+        request ends.
         """
         sources = np.asarray(sources, dtype=np.int64)
         radii = np.broadcast_to(np.asarray(radii, dtype=float), sources.shape)
-        per_sweep = max(1, SWEEP_BYTES // (8 * self.space.graph(self.h).n_nodes))
-        order = np.argsort(-radii, kind="stable")
-        src, r = sources[order], radii[order]
-        miss = self._covered[src] < r
+        miss = self._covered[sources] < radii
+        src = sources[~miss]
+        count = self._count_within(src, radii[~miss])
         start = self._ptr[src]
-        count = np.zeros(len(src), dtype=np.int64)
-        count[~miss] = self._count_within(src[~miss], r[~miss])
-        # chunk [lo, hi) sweeps sweeps[hi] - sweeps[lo] sources and reads
-        # reads[hi] - reads[lo] stored entries
-        sweeps = np.zeros(len(src) + 1, dtype=np.int64)
-        np.cumsum(miss, out=sweeps[1:])
+        # chunk [lo, hi) reads reads[hi] - reads[lo] stored entries
         reads = np.zeros(len(src) + 1, dtype=np.int64)
         np.cumsum(count, out=reads[1:])
+        per_read = CHUNK_BYTES // (3 * 8 + self._ids.itemsize + self._dist.itemsize)
+        lo = 0
+        while lo < len(src):
+            hi = max(int(np.searchsorted(reads, reads[lo] + per_read, "right")) - 1, lo + 1)
+            at = _row_entries(start[lo:hi], count[lo:hi])
+            yield src[lo:hi], reads[lo : hi + 1] - reads[lo], self._ids[at], self._dist[at]
+            lo = hi
+        order = np.argsort(-radii[miss], kind="stable")
+        src, r = sources[miss][order], radii[miss][order]
+        per_sweep = max(1, CHUNK_BYTES // (8 * self.space.graph(self.h).n_nodes))
         swept = []
         try:
-            lo = 0
-            while lo < len(src):
-                hi = min(np.searchsorted(sweeps, sweeps[lo] + per_sweep, "right"),
-                         np.searchsorted(reads, reads[lo] + BALL_READ, "right")) - 1
-                hi = max(int(hi), lo + 1)
-                hit = ~miss[lo:hi]
-                idx = src[lo:hi][hit]
-                ptr = np.append(reads[lo:hi][hit], reads[hi]) - reads[lo]
-                at = _row_entries(start[lo:hi][hit], count[lo:hi][hit])
-                ids, dist = self._ids[at], self._dist[at]
-                if not hit.all():
-                    swept.append(self._sweep(src[lo:hi][~hit], r[lo:hi][~hit]))
-                    s_idx, _, s_ptr, s_ids, s_dist = swept[-1]
-                    idx = np.concatenate([idx, s_idx])
-                    ptr = np.concatenate([ptr, ptr[-1] + s_ptr[1:]])
-                    ids = np.concatenate([ids, s_ids])
-                    dist = np.concatenate([dist, s_dist])
+            for lo in range(0, len(src), per_sweep):
+                swept.append(self._sweep(src[lo : lo + per_sweep], r[lo : lo + per_sweep]))
+                idx, _, ptr, ids, dist = swept[-1]
                 yield idx, ptr, ids, dist
-                lo = hi
         finally:
             self._store(swept)
 
@@ -1029,6 +1021,8 @@ def initial_direction(space: ConeSurface, p: int, q: int, h: float,
     """
     if p == q:
         raise DomainError("initial_direction needs q != p")
+    if cache is not None:
+        _check_cache(space, cache, h)
     fld = cache.field(p) if cache is not None else distance_field(space, p, h)
     nodes, _ = trace_shortest_path(fld, q)
     graph = space.graph(fld.h)
@@ -1088,8 +1082,7 @@ def toponogov_check(space: ConeSurface, cache: DistanceCache,
                     quadruple, kappa: float, tol: float) -> bool:
     """Alexandrov quadruple condition: the three comparison angles at p sum
     to at most 2 pi + tol."""
-    if cache.space is not space:
-        raise DomainError("distance cache belongs to a different surface")
+    _check_cache(space, cache)
     p, a, b, c = quadruple
     dp = cache.field(p)
     da = cache.field(a)

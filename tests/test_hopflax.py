@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -313,18 +312,23 @@ DIFF_MESHES = {
 }
 
 
-# (BALL_READ, SWEEP_BYTES) for a graph of n nodes: the defaults, then
-# budgets that cut chunks at every row or every few rows; each must hand
-# out the same balls.  A sweep of 7 sources takes 7 * 8 * n bytes, and a
-# 1-byte budget still sweeps one source per chunk.
+# CHUNK_BYTES values for a graph of n nodes: the default, then budgets that
+# cut read chunks every few rows and at every row; each must hand out the
+# same balls.  A sweep of 7 sources takes 7 * 8 * n bytes, and a 1-byte
+# budget still reads one row and sweeps one source per chunk.
 def chunk_limits(n_nodes):
-    return list(itertools.product((space_mod.BALL_READ, 97, 1),
-                                  (space_mod.SWEEP_BYTES, 7 * 8 * n_nodes, 1)))
+    return [space_mod.CHUNK_BYTES, 7 * 8 * n_nodes, 1]
 
 
 def sources_per_sweep(space):
     """The most sources one ball_chunks sweep may take on `space`'s graph."""
-    return max(1, space_mod.SWEEP_BYTES // (8 * space.graph(space.mesh_h).n_nodes))
+    return max(1, space_mod.CHUNK_BYTES // (8 * space.graph(space.mesh_h).n_nodes))
+
+
+def entries_per_read():
+    """The most stored entries one ball_chunks read chunk may hold: each
+    costs three int64 positions, an int32 id and a float64 distance."""
+    return space_mod.CHUNK_BYTES // 36
 
 
 @pytest.mark.parametrize("mesh", sorted(DIFF_MESHES))
@@ -341,9 +345,8 @@ def test_ball_cache_matches_dense_blocks(monkeypatch, mesh):
     dense = {(name, t): dense_hopf_lax(space, ref, u, t)
              for name, u in data.items() for t in set().union(*orders.values())}
     masks = {margin: dense_margin_mask(space, ref, margin) for margin in margins}
-    for read, sweep_bytes in chunk_limits(space.graph(space.mesh_h).n_nodes):
-        monkeypatch.setattr(space_mod, "BALL_READ", read)
-        monkeypatch.setattr(space_mod, "SWEEP_BYTES", sweep_bytes)
+    for budget in chunk_limits(space.graph(space.mesh_h).n_nodes):
+        monkeypatch.setattr(space_mod, "CHUNK_BYTES", budget)
         cache = DistanceCache(space, space.mesh_h)
         for name, u in data.items():
             for ts in orders.values():
@@ -406,35 +409,55 @@ def test_ball_cache_byte_cap(monkeypatch, disk):
 def test_ball_rows_hold_exactly_the_requested_ball(monkeypatch, disk):
     dense = DistanceCache(disk, disk.mesh_h).vertex_block(np.arange(disk.n_vertices))
     calls = _count_sweeps(monkeypatch)
-    for read, sweep_bytes in chunk_limits(disk.graph(disk.mesh_h).n_nodes):
-        monkeypatch.setattr(space_mod, "BALL_READ", read)
-        monkeypatch.setattr(space_mod, "SWEEP_BYTES", sweep_bytes)
-        chunk = sources_per_sweep(disk)
+    for budget in chunk_limits(disk.graph(disk.mesh_h).n_nodes):
+        monkeypatch.setattr(space_mod, "CHUNK_BYTES", budget)
+        per_sweep, per_read = sources_per_sweep(disk), entries_per_read()
         cache = DistanceCache(disk, disk.mesh_h)
         rng = np.random.default_rng(3)
         src = rng.permutation(disk.n_vertices)[:300]
+        covered = np.full(300, -np.inf)  # what the cache stores, none capped
         # a large radius first, then smaller ones served from it, then a mix
         # of stored rows and sweeps
         for radii in (np.full(300, 0.6), rng.uniform(0.0, 0.6, 300),
                       rng.uniform(0.0, 0.9, 300)):
             radius = dict(zip(src.tolist(), radii.tolist()))
-            served, chunk_radii = [], []
+            stored = src[covered >= radii].tolist()
+            covered = np.maximum(covered, radii)
+            read, swept_radii = [], []
             calls.clear()
             for idx, ptr, ids, dist in cache.ball_chunks(src, radii):
-                served += idx.tolist()
-                chunk_radii.append([radius[s] for s in idx.tolist()])
                 for k, s in enumerate(idx.tolist()):
                     want = np.flatnonzero(dense[s] <= radius[s])
                     want = want[np.lexsort((want, dense[s, want]))]
                     assert np.array_equal(ids[ptr[k] : ptr[k + 1]], want)
                     assert np.array_equal(dist[ptr[k] : ptr[k + 1]], dense[s, want])
-                # the chunk's swept rows come last, after its stored ones
-                n_swept = sum(calls)
+                # a chunk is all stored rows or all swept ones
+                if calls:
+                    assert calls == [len(idx)] and len(idx) <= per_sweep
+                    swept_radii += [radius[s] for s in idx.tolist()]
+                else:
+                    assert not swept_radii  # every read comes before the sweeps
+                    assert ptr[-1] <= per_read or len(idx) == 1
+                    read += idx.tolist()
                 calls.clear()
-                assert n_swept <= chunk
-                assert ptr[len(idx) - n_swept] <= read or len(idx) == 1
-            assert sorted(served) == sorted(src.tolist())
-            assert all(min(a) >= max(b) for a, b in zip(chunk_radii, chunk_radii[1:]))
+            # reads in the order given, sweeps by descending radius
+            assert read == stored
+            assert swept_radii == sorted(swept_radii, reverse=True)
+            assert len(read) + len(swept_radii) == len(src)
+
+
+def _record_chunks(monkeypatch):
+    """Row sizes of each chunk that ball_chunks yields, one list per chunk."""
+    chunks = []
+    ball_chunks = DistanceCache.ball_chunks
+
+    def recorded(self, sources, radii):
+        for chunk in ball_chunks(self, sources, radii):
+            chunks.append(np.diff(chunk[1]).tolist())
+            yield chunk
+
+    monkeypatch.setattr(DistanceCache, "ball_chunks", recorded)
+    return chunks
 
 
 def test_warm_hopf_lax_reads_in_few_chunks(monkeypatch):
@@ -444,20 +467,12 @@ def test_warm_hopf_lax_reads_in_few_chunks(monkeypatch):
     u = PLFunction(disk, 1.0 + disk.embedding @ [0.6, -0.5])
     hopf_lax(disk, cache, u, 0.2)
     calls = _count_sweeps(monkeypatch)
-    chunks = []
-    ball_chunks = DistanceCache.ball_chunks
-
-    def counted(self, sources, radii):
-        for chunk in ball_chunks(self, sources, radii):
-            chunks.append(len(chunk[0]))
-            yield chunk
-
-    monkeypatch.setattr(DistanceCache, "ball_chunks", counted)
+    chunks = _record_chunks(monkeypatch)
     for t in (0.2, 0.1):
         chunks.clear()
         hopf_lax(disk, cache, u, t)
         assert calls == []
-        assert sum(chunks) == disk.n_vertices
+        assert sum(map(len, chunks)) == disk.n_vertices
         # per-chunk budgets, not a fixed count of sources per chunk
         assert len(chunks) < 6
 
@@ -471,9 +486,28 @@ def test_cold_sweeps_fit_the_byte_budget(monkeypatch, h):
     u = PLFunction(disk, 1.0 + disk.embedding @ [0.6, -0.5])
     hopf_lax(disk, cache, u, 0.2)
     assert calls
-    assert all(n * n_nodes * 8 <= space_mod.SWEEP_BYTES or n == 1 for n in calls)
+    assert all(n * n_nodes * 8 <= space_mod.CHUNK_BYTES or n == 1 for n in calls)
     # the source count follows the graph size
     assert max(calls) == sources_per_sweep(disk)
+
+
+@pytest.mark.parametrize("budget", (space_mod.CHUNK_BYTES, 2**16))
+def test_warm_reads_fit_the_byte_budget(monkeypatch, budget):
+    disk = flat_disk(1.0, 0.05)
+    cache = DistanceCache(disk, disk.mesh_h)
+    u = PLFunction(disk, 1.0 + disk.embedding @ [0.6, -0.5])
+    hopf_lax(disk, cache, u, 0.2)
+    monkeypatch.setattr(space_mod, "CHUNK_BYTES", budget)
+    calls = _count_sweeps(monkeypatch)
+    chunks = _record_chunks(monkeypatch)
+    hopf_lax(disk, cache, u, 0.2)
+    assert calls == [] and sum(map(len, chunks)) == disk.n_vertices
+    per_read = entries_per_read()
+    assert all(sum(rows) <= per_read or len(rows) == 1 for rows in chunks)
+    # a chunk ends only where its next row would pass the budget
+    assert all(sum(a) + b[0] > per_read for a, b in zip(chunks, chunks[1:]))
+    # one chunk exactly when every entry fits the budget
+    assert (len(chunks) == 1) == (sum(map(sum, chunks)) <= per_read)
 
 
 def test_prune_radius_is_twice_t_times_max_gradient():
@@ -683,3 +717,29 @@ def test_margin_mask_rejects_nan_and_negative_margins(margin):
     disk = flat_disk(1.0, 0.2)
     with pytest.raises(DomainError):
         interior_margin_mask(disk, DistanceCache(disk, disk.mesh_h), margin)
+
+
+# a surface, and another whose cache it must not take: the same vertex
+# count, more vertices, fewer vertices, and an equal but separate surface
+FOREIGN_CACHES = {
+    "same_size": (lambda: flat_torus(1.0, 1 / 8), lambda: flat_torus(2.0, 1 / 4)),
+    "larger": (lambda: flat_disk(1.0, 0.2), lambda: flat_disk(1.0, 0.1)),
+    "smaller": (lambda: flat_disk(1.0, 0.1), lambda: flat_disk(1.0, 0.2)),
+    "equal": (lambda: flat_disk(1.0, 0.2), lambda: flat_disk(1.0, 0.2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREIGN_CACHES))
+def test_hopf_lax_rejects_a_cache_of_another_surface(case):
+    space, other = (make() for make in FOREIGN_CACHES[case])
+    cache = DistanceCache(other, other.mesh_h)
+    u = PLFunction(space, np.arange(space.n_vertices, dtype=float))
+    with pytest.raises(DomainError, match="different surface"):
+        hopf_lax(space, cache, u, 0.1)
+
+
+@pytest.mark.parametrize("case", sorted(FOREIGN_CACHES))
+def test_margin_mask_rejects_a_cache_of_another_surface(case):
+    space, other = (make() for make in FOREIGN_CACHES[case])
+    with pytest.raises(DomainError, match="different surface"):
+        interior_margin_mask(space, DistanceCache(other, other.mesh_h), 0.2)

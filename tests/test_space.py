@@ -317,6 +317,18 @@ def test_initial_direction_rejects_non_vertices():
                 initial_direction(disk, p, q, 0.1)
 
 
+@pytest.mark.parametrize("cache_of, h", [
+    (lambda disk: DistanceCache(cone_disk(5.0, 1.0, 0.2), 0.2), 0.2),
+    (lambda disk: DistanceCache(disk, 0.3), 0.1),
+], ids=["another_surface", "another_spacing"])
+def test_initial_direction_rejects_a_foreign_cache(cache_of, h):
+    disk = flat_disk(1.0, 0.2)
+    cache = cache_of(disk)
+    for p, q in ((0, 7), (3, 20), (12, 1)):
+        with pytest.raises(DomainError, match="distance cache"):
+            initial_direction(disk, p, q, h, cache)
+
+
 def test_initial_direction_spans_the_boundary_arc():
     # at a boundary vertex the directions run over [0, cone angle], from one
     # rim edge to the other; the far rim edge is not wrapped back to 0
