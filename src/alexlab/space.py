@@ -44,12 +44,9 @@ SINGULAR_ANGLE_TOL = 1e-9
 # Unbounded, the balls of a 21.6k-vertex disk at radius 0.9 take ~3 GB.
 BALL_CACHE_BYTES = 256 * 2**20
 
-# Bytes of one DistanceCache.ball_chunks chunk.  A read chunk allocates 36
-# bytes per stored entry (three int64 arrays in _row_entries, its int32 id
-# and float64 distance): at most 58254 entries.  Counting only the 12 bytes
-# of id and distance made warm Hopf-Lax on a 5610-vertex disk at t = 0.2
-# ~20% slower (2-vCPU VM, 2 MiB of L2 per core).  A sweep's dense float64
-# block has a column per graph node, Steiner nodes included, so a chunk
+# Bytes of one DistanceCache.ball_chunks chunk.  A read chunk holds at most
+# CHUNK_BYTES // _READ_ENTRY_BYTES = 58254 stored entries.  A sweep's dense
+# float64 block has a column per graph node, Steiner nodes included, so a chunk
 # sweeps max(1, CHUNK_BYTES // (8 * graph nodes)) sources: 89 on a
 # 2931-node graph, 5 on a 52187-node one.  2 MiB rather than 1 MiB because
 # glibc malloc raises its mmap and trim thresholds to the largest block it
@@ -725,12 +722,10 @@ def _check_vertex(space: ConeSurface, vertex) -> None:
             f"vertex {vertex} out of range [0, {space.n_vertices})")
 
 
-def _check_cache(space: ConeSurface, cache: "DistanceCache", h=None) -> None:
-    """Reject a distance cache built for another surface, or not at spacing h."""
+def _check_cache(space: ConeSurface, cache: "DistanceCache") -> None:
+    """Reject a distance cache built for another surface."""
     if cache.space is not space:
         raise DomainError("distance cache belongs to a different surface")
-    if h is not None and cache.h != h:
-        raise DomainError(f"distance cache has spacing {cache.h}, not {h}")
 
 
 @dataclass
@@ -843,8 +838,8 @@ class DistanceCache:
 
         The sources whose stored balls cover their radii are read first, in
         the order given, after one count of each row's entries within its
-        radius; a chunk ends before its entries, at 36 bytes each, would
-        pass ``CHUNK_BYTES``, but a single row above that is a chunk of its
+        radius; a chunk ends before its entries, at ``_READ_ENTRY_BYTES``
+        each, would pass ``CHUNK_BYTES``, but a single row above that is a chunk of its
         own.  The other sources are then swept by descending radius, as many
         per :meth:`vertex_block` call as fit its dense block in
         ``CHUNK_BYTES`` (8 bytes per source and graph node), and at least
@@ -860,7 +855,7 @@ class DistanceCache:
         # chunk [lo, hi) reads reads[hi] - reads[lo] stored entries
         reads = np.zeros(len(src) + 1, dtype=np.int64)
         np.cumsum(count, out=reads[1:])
-        per_read = CHUNK_BYTES // (3 * 8 + self._ids.itemsize + self._dist.itemsize)
+        per_read = CHUNK_BYTES // _READ_ENTRY_BYTES
         lo = 0
         while lo < len(src):
             hi = max(int(np.searchsorted(reads, reads[lo] + per_read, "right")) - 1, lo + 1)
@@ -968,6 +963,13 @@ class DistanceCache:
         self._ptr = ptr
 
 
+# Bytes a ball_chunks read allocates per stored entry: the three int64
+# arrays of _row_entries, then the entry's int32 id and float64 distance.
+# Charging only the 12 bytes of id and distance made warm Hopf-Lax on a
+# 5610-vertex disk at t = 0.2 ~20% slower (2-vCPU VM, 2 MiB of L2 per core).
+_READ_ENTRY_BYTES = 3 * 8 + 4 + 8
+
+
 def _row_entries(start, length):
     """Flat positions of the rows [start, start + length), in row order."""
     ptr = np.zeros(len(length) + 1, dtype=np.int64)
@@ -1022,7 +1024,9 @@ def initial_direction(space: ConeSurface, p: int, q: int, h: float,
     if p == q:
         raise DomainError("initial_direction needs q != p")
     if cache is not None:
-        _check_cache(space, cache, h)
+        _check_cache(space, cache)
+        if cache.h != h:
+            raise DomainError(f"distance cache has spacing {cache.h}, not {h}")
     fld = cache.field(p) if cache is not None else distance_field(space, p, h)
     nodes, _ = trace_shortest_path(fld, q)
     graph = space.graph(fld.h)

@@ -326,9 +326,8 @@ def sources_per_sweep(space):
 
 
 def entries_per_read():
-    """The most stored entries one ball_chunks read chunk may hold: each
-    costs three int64 positions, an int32 id and a float64 distance."""
-    return space_mod.CHUNK_BYTES // 36
+    """The most stored entries one ball_chunks read chunk may hold."""
+    return space_mod.CHUNK_BYTES // space_mod._READ_ENTRY_BYTES
 
 
 @pytest.mark.parametrize("mesh", sorted(DIFF_MESHES))
@@ -423,7 +422,7 @@ def test_ball_rows_hold_exactly_the_requested_ball(monkeypatch, disk):
             radius = dict(zip(src.tolist(), radii.tolist()))
             stored = src[covered >= radii].tolist()
             covered = np.maximum(covered, radii)
-            read, swept_radii = [], []
+            read, swept = [], []
             calls.clear()
             for idx, ptr, ids, dist in cache.ball_chunks(src, radii):
                 for k, s in enumerate(idx.tolist()):
@@ -434,16 +433,19 @@ def test_ball_rows_hold_exactly_the_requested_ball(monkeypatch, disk):
                 # a chunk is all stored rows or all swept ones
                 if calls:
                     assert calls == [len(idx)] and len(idx) <= per_sweep
-                    swept_radii += [radius[s] for s in idx.tolist()]
+                    swept += idx.tolist()
                 else:
-                    assert not swept_radii  # every read comes before the sweeps
+                    assert not swept  # every read comes before the sweeps
                     assert ptr[-1] <= per_read or len(idx) == 1
                     read += idx.tolist()
                 calls.clear()
             # reads in the order given, sweeps by descending radius
             assert read == stored
+            swept_radii = [radius[s] for s in swept]
             assert swept_radii == sorted(swept_radii, reverse=True)
-            assert len(read) + len(swept_radii) == len(src)
+            # every other source is swept, each once
+            assert sorted(swept) == sorted(set(src.tolist()) - set(stored))
+            assert sorted(read + swept) == sorted(src.tolist())
 
 
 def _record_chunks(monkeypatch):
