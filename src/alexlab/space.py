@@ -17,8 +17,9 @@ incidences all come from one sort of the face half-edges (see
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 from scipy import sparse
@@ -1159,12 +1160,52 @@ def save_off(space: ConeSurface, path) -> None:
         fh.write("%d %d %.17g\n" * E % lengths)
 
 
-def _convert(rows, dtype, msg):
-    """np.array(rows, dtype); a token that does not convert raises ValueError(msg)."""
+# A line break, then the blanks that lead the next line up to a '#', a line
+# break or the end of the text: only such lines can be blank or comments.
+_BLANK_OR_HASH = re.compile(r"\n[^\S\n]*(?=#|\n|\Z)")
+
+
+def _content_lines(text: str):
+    """The content lines of an OFF text cut at LF, their 1-based line
+    numbers, and the number of lines.
+
+    A line is content unless it is blank or a comment, the '#lengths'
+    marker being content.  Only the first line and the lines that
+    _BLANK_OR_HASH finds are split into tokens to tell.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    maybe, at, n = [0], 0, 0
+    for m in _BLANK_OR_HASH.finditer(text):
+        n += text.count("\n", at, m.start()) + 1
+        at = m.start() + 1
+        maybe.append(n)
+    keep = np.ones(len(lines), dtype=bool)
+    for i in maybe:
+        if i < len(lines):  # not the empty piece after a final line end
+            tokens = lines[i].split()
+            keep[i] = bool(tokens) and (tokens[0][0] != "#" or tokens == ["#lengths"])
+    content = lines if keep.all() else list(compress(lines, keep))
+    return content, np.flatnonzero(keep) + 1, len(lines)
+
+
+def _read_rows(rows, dtype, shape_ok, shape_msg, number_msg):
+    """Text rows read by numpy's C text reader into a structured array.
+
+    The reader rejects a row whose token count differs from the columns of
+    `dtype`, or a token that does not convert.  Told apart only for a single
+    row: ValueError(shape_msg) if shape_ok(tokens) is false, else
+    ValueError(number_msg).
+    """
+    if not rows:
+        return np.zeros(0, dtype)
     try:
-        return np.array(rows, dtype=dtype)
-    except (ValueError, OverflowError):
-        raise ValueError(msg) from None
+        return np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
+        if len(rows) == 1 and not shape_ok(rows[0].split()):
+            raise ValueError(shape_msg) from None
+        raise ValueError(number_msg) from None
 
 
 def load_off(path) -> ConeSurface:
@@ -1178,7 +1219,7 @@ def load_off(path) -> ConeSurface:
     - the counts ``V F x``: nonnegative integers V and F, and any third
       token;
     - V vertex lines ``x y z`` of finite coordinates;
-    - F face lines ``3 i j k`` of vertex ids in [0, V);
+    - F face lines ``3 i j k`` of distinct vertex ids in [0, V);
     - optionally the marker ``#lengths``, then any number of edge records
       ``i j L`` with vertex ids in [0, V) and a finite length L > 0.
 
@@ -1187,23 +1228,36 @@ def load_off(path) -> ConeSurface:
     side is an error.  Records of one edge must agree to 1e-9 relative
     (else InconsistentGluingError); the last one is used.  Blank lines and
     lines whose first non-blank character is '#' are comments, except the
-    marker itself.  Lines end in LF or CRLF.
+    marker itself.  The file is UTF-8 text; lines end in LF, CRLF or CR,
+    and tokens are separated by whitespace as str.split() sees it.
+
+    Numbers are read by numpy's C text reader (np.loadtxt).  An integer is
+    an optional sign and ASCII digits that fit int64; the face arity token
+    must be the literal ``3``.  A float is what Python's float() reads,
+    ``nan`` and ``inf`` included and ``1e999`` reading as inf, but with ASCII
+    digits and no '_' separators: ``1_0`` is a bad number, not 10.
 
     A malformed file raises MeshFormatError naming the file and its first
     bad line; each line is checked for its token count, then its
-    conversion, then its values.
+    conversion, then its values.  Each block of lines is read at once; if
+    it fails, its lines are read again one at a time, by the same reader,
+    to find the first bad one.
     """
-    with open(path) as fh:
-        lines = fh.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    tokens = [line.split() for line in lines]
-    # content lines: not blank, and no comment unless the '#lengths' marker
-    nums = [n for n, t in enumerate(tokens, 1) if t and (t[0][0] != "#" or t == ["#lengths"])]
-    content = [tokens[n - 1] for n in nums]
 
     def fail(num, msg):
         raise MeshFormatError(f"{path}:{num}: {msg}") from None
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as err:
+        head = data[:err.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        fail(head.count(b"\n") + 1, f"byte {data[err.start]:#04x} is not UTF-8")
+    del data
+    # line ends as text-mode open() reads them
+    content, nums, n_lines = _content_lines(text.replace("\r\n", "\n").replace("\r", "\n"))
+    del text
 
     def block(start, stop, parse):
         """parse() of content rows [start, stop).  If it raises, the rows are
@@ -1219,26 +1273,31 @@ def load_off(path) -> ConeSurface:
             raise  # not reached: every check is a check of one row
 
     def vertex_rows(rows):
-        if any(len(r) != 3 for r in rows):
-            raise ValueError("vertex line must have 3 coordinates")
-        x = _convert(rows, float, "bad vertex coordinate").reshape(-1, 3)
+        x = _read_rows(rows, [("xyz", float, 3)], lambda t: len(t) == 3,
+                       "vertex line must have 3 coordinates", "bad vertex coordinate")["xyz"]
         if not np.isfinite(x).all():
             raise ValueError("vertex coordinate is not finite")
         return x
 
     def face_rows(rows):
-        if any(len(r) != 4 or r[0] != "3" for r in rows):
-            raise ValueError("face line must be '3 i j k'")
-        f = _convert(rows, np.int64, "bad face index").reshape(-1, 4)[:, 1:]
+        shape_msg = "face line must be '3 i j k'"
+        r = _read_rows(rows, [("arity", "U2"), ("ijk", np.int64, 3)],
+                       lambda t: len(t) == 4 and t[0] == "3", shape_msg, "bad face index")
+        # U2 keeps two characters, so only the token '3' reads as '3'
+        if (r["arity"] != "3").any():
+            raise ValueError(shape_msg)
+        f = r["ijk"]
         if ((f < 0) | (f >= nv)).any():
             raise ValueError("face index out of range")
+        a, b, c = f.T
+        if ((a == b) | (b == c) | (c == a)).any():
+            raise ValueError("face repeats a vertex")
         return f
 
     def length_rows(rows):
-        if any(len(r) != 3 for r in rows):
-            raise ValueError("length line must be 'i j L'")
-        ij = _convert([r[:2] for r in rows], np.int64, "bad length record").reshape(-1, 2)
-        L = _convert([r[2] for r in rows], float, "bad length record")
+        r = _read_rows(rows, [("ij", np.int64, 2), ("L", float)], lambda t: len(t) == 3,
+                       "length line must be 'i j L'", "bad length record")
+        ij, L = r["ij"], r["L"]
         bad = ~(np.isfinite(L) & (L > 0))
         if bad.any():
             raise ValueError(f"invalid edge length {L[_first(bad)]}")
@@ -1246,29 +1305,31 @@ def load_off(path) -> ConeSurface:
             raise ValueError("length record index out of range")
         return ij, L
 
-    if not content or content[0] != ["OFF"]:
+    if not content or content[0].split() != ["OFF"]:
         fail(nums[0] if content else 1, "expected OFF header")
     if len(content) < 2:
-        fail(len(lines), "missing counts line")
-    if len(content[1]) != 3:
-        fail(nums[1], "counts line must be 'V F 0'")
+        fail(n_lines, "missing counts line")
     try:
-        nv, nf = int(content[1][0]), int(content[1][1])
-    except ValueError:
-        fail(nums[1], "counts must be integers")
+        counts = _read_rows(content[1:2], [("V", np.int64), ("F", np.int64), ("x", "U1")],
+                            lambda t: len(t) == 3, "counts line must be 'V F 0'",
+                            "counts must be integers")
+    except ValueError as err:
+        fail(nums[1], err)
+    nv, nf = int(counts["V"][0]), int(counts["F"][0])
     if nv < 0 or nf < 0:
         fail(nums[1], "counts must be nonnegative")
 
     coords = block(2, 2 + nv, vertex_rows)
     if len(content) < 2 + nv:
-        fail(len(lines), f"expected {nv} vertex lines")
+        fail(n_lines, f"expected {nv} vertex lines")
     faces = block(2 + nv, 2 + nv + nf, face_rows)
     start = 2 + nv + nf
     if len(content) < start:
-        fail(len(lines), f"expected {nf} face lines")
-    if start < len(content) and content[start] != ["#lengths"]:
-        fail(nums[start], f"unexpected trailing content: {lines[nums[start] - 1].strip()!r}")
+        fail(n_lines, f"expected {nf} face lines")
+    if start < len(content) and content[start].split() != ["#lengths"]:
+        fail(nums[start], f"unexpected trailing content: {content[start].strip()!r}")
     rec_ij, rec_len = block(start + 1, len(content), length_rows)
+    del content  # the text is read; free it before the surface is built
     rec_keys = _edge_keys(rec_ij[:, 0], rec_ij[:, 1], nv)
 
     def lengths(u, v):

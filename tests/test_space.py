@@ -9,6 +9,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from alexlab.exceptions import (
+    AlexlabError,
     DisconnectedError,
     DomainError,
     InconsistentGluingError,
@@ -724,6 +725,246 @@ def test_off_rejects_length_record_for_a_non_edge(tmp_path):
     )
     with pytest.raises(MeshFormatError, match=r"tri\.off:10: length record names no face edge"):
         load_off(path)
+
+
+def test_off_rejects_bytes_that_are_not_utf8(tmp_path):
+    # the bad byte sits in a comment, which is still part of the text
+    path = tmp_path / "m.off"
+    path.write_bytes(b"OFF\n# caf\xe9\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    with pytest.raises(MeshFormatError) as err:
+        load_off(path)
+    assert str(err.value) == f"{path}:2: byte 0xe9 is not UTF-8"
+    path.write_bytes(b"OFF\r\n3 1 0\r\n0 0 0\r\n1 0 0\r\n0 1 \xff\r\n3 0 1 2\r\n")
+    with pytest.raises(MeshFormatError) as err:
+        load_off(path)
+    assert str(err.value) == f"{path}:5: byte 0xff is not UTF-8"
+
+
+@pytest.mark.parametrize("text, line", [
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 0 2\n", 6),
+    ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 2 1 2\n", 7),
+])
+def test_off_rejects_face_that_repeats_a_vertex(text, line, tmp_path):
+    path = tmp_path / "m.off"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError) as err:
+        load_off(path)
+    assert str(err.value) == f"{path}:{line}: face repeats a vertex"
+
+
+def test_load_off_peak_memory(tmp_path):
+    # the traced peak was 24.5x the file when every line became a list of
+    # str tokens, and is 8.1x with numpy's text reader
+    path = tmp_path / "disk.off"
+    save_off(flat_disk(1.0, 0.04), path)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        surf = load_off(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert surf.n_vertices == 2252
+    assert peak <= 10 * path.stat().st_size
+
+
+# ---------------------------------------------------------------------------
+# differential test: load_off against a line-by-line reader
+# ---------------------------------------------------------------------------
+
+
+def line_load_off(path):
+    """Reference reader: str.split tokens of every line, then Python's int and
+    float on one line at a time."""
+
+    def fail(num, msg):
+        raise MeshFormatError(f"{path}:{num}: {msg}")
+
+    def numbers(kinds, tokens, num, msg):
+        try:
+            vals = [kind(t) for kind, t in zip(kinds, tokens)]
+        except ValueError:
+            fail(num, msg)
+        if any(kind is int and not -2**63 <= v < 2**63 for kind, v in zip(kinds, vals)):
+            fail(num, msg)
+        return vals
+
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    content = [(num, line.split()) for num, line in enumerate(lines, 1)]
+    content = [(num, t) for num, t in content if t and (t[0][0] != "#" or t == ["#lengths"])]
+    if not content or content[0][1] != ["OFF"]:
+        fail(content[0][0] if content else 1, "expected OFF header")
+    if len(content) < 2:
+        fail(len(lines), "missing counts line")
+    num, t = content[1]
+    if len(t) != 3:
+        fail(num, "counts line must be 'V F 0'")
+    nv, nf = numbers((int, int), t, num, "counts must be integers")
+    if nv < 0 or nf < 0:
+        fail(num, "counts must be nonnegative")
+    coords = []
+    for num, t in content[2:2 + nv]:
+        if len(t) != 3:
+            fail(num, "vertex line must have 3 coordinates")
+        coords.append(numbers((float,) * 3, t, num, "bad vertex coordinate"))
+        if not np.isfinite(coords[-1]).all():
+            fail(num, "vertex coordinate is not finite")
+    if len(coords) < nv:
+        fail(len(lines), f"expected {nv} vertex lines")
+    faces = []
+    for num, t in content[2 + nv:2 + nv + nf]:
+        if len(t) != 4 or t[0] != "3":
+            fail(num, "face line must be '3 i j k'")
+        f = numbers((int,) * 3, t[1:], num, "bad face index")
+        if not all(0 <= i < nv for i in f):
+            fail(num, "face index out of range")
+        if len(set(f)) < 3:
+            fail(num, "face repeats a vertex")
+        faces.append(f)
+    if len(faces) < nf:
+        fail(len(lines), f"expected {nf} face lines")
+    records = content[2 + nv + nf:]
+    if records and records[0][1] != ["#lengths"]:
+        num = records[0][0]
+        fail(num, f"unexpected trailing content: {lines[num - 1].strip()!r}")
+    declared = {}  # (lo, hi) -> [(L, line number)] in file order
+    for num, t in records[1:]:
+        if len(t) != 3:
+            fail(num, "length line must be 'i j L'")
+        i, j, L = numbers((int, int, float), t, num, "bad length record")
+        if not (math.isfinite(L) and L > 0):
+            fail(num, f"invalid edge length {L}")
+        if not (0 <= i < nv and 0 <= j < nv):
+            fail(num, "length record index out of range")
+        declared.setdefault((min(i, j), max(i, j)), []).append((L, num))
+    coords = np.array(coords, dtype=float).reshape(-1, 3)
+
+    def lengths(u, v):
+        sides = {(min(a, b), max(a, b)) for a, b in zip(u.tolist(), v.tolist())}
+        missing = [num for key, recs in declared.items() if key not in sides for _, num in recs]
+        if missing:
+            fail(min(missing), "length record names no face edge")
+        for (lo, hi), recs in sorted(declared.items()):
+            for (a, _), (b, _) in zip(recs, recs[1:]):
+                if abs(a - b) > 1e-9 * max(a, b):
+                    raise InconsistentGluingError(
+                        f"edge ({lo}, {hi}) declared with lengths {a} and {b}")
+        return [declared[min(a, b), max(a, b)][-1][0] if (min(a, b), max(a, b)) in declared
+                else float(np.linalg.norm(coords[a] - coords[b]))
+                for a, b in zip(u.tolist(), v.tolist())]
+
+    surf = build_surface(np.array(faces, dtype=np.int64).reshape(-1, 3), lengths,
+                         embedding=coords if np.any(coords) else None)
+    if surf.n_vertices < nv:
+        fail(content[2 + surf.n_vertices][0], "vertex is in no face")
+    return surf
+
+
+def off_outcome(read, path):
+    """The arrays of the surface `read` makes of a file, or its error."""
+    try:
+        surf = read(path)
+    except AlexlabError as err:
+        return type(err).__name__, str(err)
+    arrays = surf.faces, surf.edges, surf.edge_lengths, surf.embedding
+    return [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+# two records, so that the records block has an inside too
+TRIANGLE_FILE = TRIANGLE_LENGTHS + "0 1 1.5\n1 2 1.5\n"
+
+
+def edited(line, old, new):
+    """The triangle file with one token of line `line` (1-based) replaced."""
+    rows = TRIANGLE_FILE.split("\n")
+    tokens = rows[line - 1].split(" ")
+    tokens[tokens.index(old)] = new
+    rows[line - 1] = " ".join(tokens)
+    return "\n".join(rows)
+
+
+def inserted(line, text):
+    """The triangle file with `text` inserted before line `line` (1-based)."""
+    rows = TRIANGLE_FILE.split("\n")
+    return "\n".join(rows[:line - 1] + [text] + rows[line - 1:])
+
+
+TRIANGLE_EDITS = {
+    "counts_plus": edited(2, "3", "+3"),
+    "counts_zero_padded": edited(2, "3", "03"),
+    "counts_float": edited(2, "3", "3.0"),
+    "arity_plus": edited(6, "3", "+3"),
+    "arity_zero_padded": edited(6, "3", "03"),
+    "arity_float": edited(6, "3", "3.0"),
+    "index_plus": edited(6, "1", "+1"),
+    "index_zero_padded": edited(6, "1", "01"),
+    "index_float": edited(6, "2", "2.0"),
+    "record_index_float": edited(8, "1", "1.0"),
+    "coordinate_plus": edited(4, "1", "+1"),
+    "coordinate_zero_padded": edited(4, "1", "01"),
+    "coordinate_float": edited(4, "1", "1.0"),
+    "length_exponent": edited(8, "1.5", "15e-1"),
+    "coordinate_nan": edited(5, "1", "nan"),
+    "length_nan": edited(8, "1.5", "nan"),
+    "coordinate_1e999": edited(3, "0", "1e999"),
+    "length_1e999": edited(8, "1.5", "1e999"),
+    "length_minus_1e999": edited(8, "1.5", "-1e999"),
+    "record_4_tokens": TRIANGLE_FILE + "1 2 1.0 7\n",
+    "vertex_4_tokens": edited(3, "0", "0 0"),
+    "face_5_tokens": edited(6, "2", "2 2"),
+    "tabs": TRIANGLE_FILE.replace(" ", "\t"),
+    "trailing_spaces": TRIANGLE_FILE.replace("\n", "  \n"),
+    "no_final_newline": TRIANGLE_FILE[:-1],
+    "crlf": TRIANGLE_FILE.replace("\n", "\r\n"),
+    "cr": TRIANGLE_FILE.replace("\n", "\r"),
+    "marker_in_vertices": inserted(4, "#lengths"),
+    "two_markers": inserted(9, "  #lengths"),
+    "repeated_record": TRIANGLE_FILE + "1 0 1.5\n",
+    "clashing_record": TRIANGLE_FILE + "1 0 1.25\n",
+    "record_off_the_faces": TRIANGLE_FILE + "2 2 1.0\n",
+    "marker_with_text": inserted(8, "#lengths 2"),
+    **{f"comment_before_line_{n}": inserted(n, " # note") for n in range(1, 11)},
+    **{f"blank_before_line_{n}": inserted(n, " \t") for n in range(1, 11)},
+}
+# grammar changes of the numpy reader, documented in load_off: '_' separators
+# and non-ASCII digits, which Python's int and float read
+NUMPY_GRAMMAR = {
+    "counts_underscore": (edited(2, "3", "0_3"), 2, "counts must be integers"),
+    "index_underscore": (edited(6, "2", "0_2"), 6, "bad face index"),
+    "coordinate_underscore": (edited(4, "1", "1_0"), 4, "bad vertex coordinate"),
+    "length_underscore": (edited(8, "1.5", "1_0"), 8, "bad length record"),
+    "coordinate_arabic_digit": (edited(4, "1", "١"), 4, "bad vertex coordinate"),
+}
+
+
+@OFF_GENERATORS
+def test_load_off_matches_line_reader_on_generators(make, tmp_path):
+    path = tmp_path / "s.off"
+    save_off(make(), path)
+    assert off_outcome(load_off, path) == off_outcome(line_load_off, path)
+
+
+@pytest.mark.parametrize("text", TRIANGLE_EDITS.values(), ids=TRIANGLE_EDITS.keys())
+def test_load_off_matches_line_reader_on_edits(text, tmp_path):
+    path = tmp_path / "m.off"
+    path.write_bytes(text.encode())
+    assert off_outcome(load_off, path) == off_outcome(line_load_off, path)
+
+
+@pytest.mark.parametrize("text, line, message", NUMPY_GRAMMAR.values(), ids=NUMPY_GRAMMAR.keys())
+def test_load_off_grammar_departs_from_python_numbers(text, line, message, tmp_path):
+    path = tmp_path / "m.off"
+    path.write_bytes(text.encode())
+    assert off_outcome(load_off, path) == ("MeshFormatError", f"{path}:{line}: {message}")
+    # the line reader's int and float take the token
+    assert off_outcome(line_load_off, path)[0] != "MeshFormatError"
 
 
 # ---------------------------------------------------------------------------
