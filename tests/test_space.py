@@ -752,22 +752,27 @@ def test_off_rejects_face_that_repeats_a_vertex(text, line, tmp_path):
     assert str(err.value) == f"{path}:{line}: face repeats a vertex"
 
 
-def test_load_off_peak_memory(tmp_path):
-    # the traced peak was 24.5x the file when every line became a list of
-    # str tokens, and is 8.1x with numpy's text reader
-    path = tmp_path / "disk.off"
-    save_off(flat_disk(1.0, 0.04), path)
+def traced_peak(call):
+    """call() and the tracemalloc peak it reached above the memory before it."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        surf = load_off(path)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def test_load_off_peak_memory(tmp_path):
+    # the traced peak was 24.5x the file when every line became a list of
+    # str tokens, and is 8.1x with numpy's text reader
+    path = tmp_path / "disk.off"
+    save_off(flat_disk(1.0, 0.04), path)
+    surf, peak = traced_peak(lambda: load_off(path))
     assert surf.n_vertices == 2252
     assert peak <= 10 * path.stat().st_size
 
@@ -844,7 +849,6 @@ def line_load_off(path):
         if not (0 <= i < nv and 0 <= j < nv):
             fail(num, "length record index out of range")
         declared.setdefault((min(i, j), max(i, j)), []).append((L, num))
-    coords = np.array(coords, dtype=float).reshape(-1, 3)
 
     def lengths(u, v):
         sides = {(min(a, b), max(a, b)) for a, b in zip(u.tolist(), v.tolist())}
@@ -857,11 +861,12 @@ def line_load_off(path):
                     raise InconsistentGluingError(
                         f"edge ({lo}, {hi}) declared with lengths {a} and {b}")
         return [declared[min(a, b), max(a, b)][-1][0] if (min(a, b), max(a, b)) in declared
-                else float(np.linalg.norm(coords[a] - coords[b]))
+                else math.sqrt(sum((p - q) ** 2 for p, q in zip(coords[a], coords[b])))
                 for a, b in zip(u.tolist(), v.tolist())]
 
+    embedding = np.array(coords, dtype=float).reshape(-1, 3)
     surf = build_surface(np.array(faces, dtype=np.int64).reshape(-1, 3), lengths,
-                         embedding=coords if np.any(coords) else None)
+                         embedding=embedding if np.any(embedding) else None)
     if surf.n_vertices < nv:
         fail(content[2 + surf.n_vertices][0], "vertex is in no face")
     return surf
@@ -910,6 +915,7 @@ TRIANGLE_EDITS = {
     "coordinate_plus": edited(4, "1", "+1"),
     "coordinate_zero_padded": edited(4, "1", "01"),
     "coordinate_float": edited(4, "1", "1.0"),
+    "coordinate_inexact_side": edited(5, "0", "0.3"),
     "length_exponent": edited(8, "1.5", "15e-1"),
     "coordinate_nan": edited(5, "1", "nan"),
     "length_nan": edited(8, "1.5", "nan"),
@@ -1146,17 +1152,7 @@ def test_surface_and_graph_are_freed_by_reference_count():
 def test_graph_build_peak_memory():
     # the arrays a build holds at once stay within 5 times the CSR it returns
     surf = flat_torus(math.sqrt(math.pi), 0.04)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        m = surf.graph(0.016).matrix
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    m, peak = traced_peak(lambda: surf.graph(0.016).matrix)
     assert m.shape == (15488, 15488) and m.nnz == 2 * 129712
     assert peak <= 5 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
 
