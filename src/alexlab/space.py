@@ -24,7 +24,6 @@ from itertools import chain, compress
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.spatial import Delaunay
 
 from .exceptions import (
     DisconnectedError,
@@ -411,12 +410,73 @@ def _polar_mesh(total_angle: float, R: float, h: float, ring_scale: float):
     return r[ring], angles, faces
 
 
+def _incircle(xy, a, b, c, d):
+    """Incircle determinant of the points d against the circles through
+    (a, b, c): positive where d lies inside, for a, b, c counterclockwise."""
+    (ax, ay), (bx, by), (cx, cy) = ((xy[v] - xy[d]).T for v in (a, b, c))
+    return ((ax * ax + ay * ay) * (bx * cy - cx * by)
+            + (bx * bx + by * by) * (cx * ay - ax * cy)
+            + (cx * cx + cy * cy) * (ax * by - bx * ay))
+
+
+def _delaunay_flips(faces, xy, tol):
+    """Flip the interior edges of a counterclockwise planar triangulation
+    until each passes the incircle test (Lawson).
+
+    Edge (a, b) with far corners c and d is flipped to (c, d) when d lies
+    inside the circle through a, b, c by more than `tol`, or, at a quad
+    cocircular to within `tol`, when c or d is the quad's lowest vertex id.
+    Each round flips candidates with no face in common: those that come
+    first, in edge order, among the candidates on each of their two faces.
+    """
+    faces = faces.copy()
+    while True:
+        inc = _incidence(faces, len(xy))
+        h0, h1 = inc.edge_sides[inc.edge_degree == 2].T
+        f0, s0 = np.divmod(h0, 3)
+        f1, s1 = np.divmod(h1, 3)
+        c, a, b = faces[f0, s0], faces[f0, (s0 + 1) % 3], faces[f0, (s0 + 2) % 3]
+        d = faces[f1, s1]
+        det = _incircle(xy, a, b, c, d)
+        tie = (det >= -tol) & (np.minimum(c, d) < np.minimum(a, b))
+        flip = np.flatnonzero((det > tol) | tie)
+        if not len(flip):
+            return faces
+        rank = np.arange(len(flip))
+        owner = np.full(len(faces), len(flip))
+        np.minimum.at(owner, f0[flip], rank)
+        np.minimum.at(owner, f1[flip], rank)
+        flip = flip[(owner[f0[flip]] == rank) & (owner[f1[flip]] == rank)]
+        faces[f0[flip]] = np.c_[c[flip], a[flip], d[flip]]
+        faces[f1[flip]] = np.c_[d[flip], b[flip], c[flip]]
+
+
 def flat_disk(R: float, h: float) -> ConeSurface:
     """Flat disk of radius R: hexagonal-lattice interior, circular rim.
 
     The lattice interior keeps one-ring geometry translation invariant,
     which the gradient-field experiments rely on; the rim ring puts every
     boundary vertex exactly at radius R.  Vertex 0 is the center.
+
+    Vertices: the points h (i + j/2, j sqrt(3)/2) with |i|, |j| <= int(R/h) + 2
+    that lie within R - 0.95 h of the center, ring by ring and each ring by
+    angle, then m = max(8, round(2 pi R / h)) rim points from angle 0.
+
+    Faces: the Delaunay triangulation, built in three steps.
+
+    - The lattice triangles whose three corners are inside.  Every inside
+      point lies on one, except a lone center (R < 1.95 h).  They are
+      Delaunay as they stand: each rim point is at least 0.95 h from every
+      lattice point, so outside every circumcircle (radius h / sqrt(3)).
+    - The boundary cycle of their union, which is monotone in angle, is
+      zipped to the rim by `_zip_rings` (a lone center fans to it).
+    - Those zip faces are flipped by `_delaunay_flips` until every edge
+      passes the incircle test.
+
+    A quad whose corners are cocircular to rounding, |incircle| <=
+    1e-9 min(h, R)^4, has two Delaunay diagonals; it takes the one through
+    its lowest vertex id.  Such quads are the mirror-symmetric trapezoids of
+    two lattice and two rim points.
     """
     if not (math.isfinite(R) and R > 0 and math.isfinite(h) and h > 0):
         raise DomainError(f"flat_disk needs finite R > 0 and h > 0, got R={R}, h={h}")
@@ -426,15 +486,29 @@ def flat_disk(R: float, h: float) -> ConeSurface:
     j, i = np.repeat(k, len(k)), np.tile(k, len(k))
     x = h * (i + 0.5 * j)
     y = h * (math.sqrt(3.0) / 2.0) * j
-    inside = x * x + y * y <= cutoff * cutoff
+    inside = x * x + y * y <= cutoff * cutoff  # the center always is
+    cell = np.flatnonzero(inside)
     i, j, x, y = i[inside], j[inside], x[inside], y[inside]
     # lattice points ring by ring (|p|^2 / h^2 = i^2 + i j + j^2), each ring by angle
     order = np.lexsort((np.arctan2(y, x), i * i + i * j + j * j))
-    pts = np.c_[x, y][order] if len(order) else np.zeros((1, 2))
+    n_lat = len(order)
     m = max(8, round(2 * math.pi * R / h))
     rim_angle = 2 * math.pi * np.arange(m) / m
-    xy = np.r_[pts, np.c_[R * np.cos(rim_angle), R * np.sin(rim_angle)]]
-    faces = Delaunay(xy).simplices.astype(np.int64)
+    xy = np.r_[np.c_[x, y][order], np.c_[R * np.cos(rim_angle), R * np.sin(rim_angle)]]
+
+    # vertex id of each lattice point (row j, column i), -1 outside
+    grid = np.full((2 * n + 1, 2 * n + 1), -1, dtype=np.int64)
+    grid.ravel()[cell[order]] = np.arange(n_lat)
+    p, q, r, s = grid[:-1, :-1], grid[:-1, 1:], grid[1:, :-1], grid[1:, 1:]
+    lattice = np.r_[np.c_[p.ravel(), q.ravel(), r.ravel()],
+                    np.c_[q.ravel(), s.ravel(), r.ravel()]]
+    lattice = lattice[(lattice >= 0).all(axis=1)]
+    cycle = np.flatnonzero(np.bincount(lattice.ravel(), minlength=n_lat) < 6)
+    angle = np.arctan2(xy[cycle, 1], xy[cycle, 0]) % (2 * math.pi)
+    by_angle = np.argsort(angle)
+    zipped = _zip_rings(cycle[by_angle], angle[by_angle], np.arange(n_lat, n_lat + m),
+                        rim_angle, 2 * math.pi)
+    faces = np.r_[lattice, _delaunay_flips(zipped, xy, 1e-9 * min(h, R) ** 4)]
     return build_surface(faces, lambda u, v: np.linalg.norm(xy[u] - xy[v], axis=1),
                          declared_k=0.0, embedding=xy, mesh_h=h)
 
@@ -617,11 +691,12 @@ class _SteinerGraph:
                       axis=1)
         doubled = np.zeros(len(faces), dtype=bool)
         doubled[two[twin].ravel()] = True
-        _, group, sizes = np.unique(
-            side_nodes, axis=0, return_inverse=True, return_counts=True
-        )
-        by_group = np.split(np.argsort(group.ravel(), kind="stable"), np.cumsum(sizes)[:-1])
-        for fs in by_group:
+        # one integer key per face, ordered as its count triple is
+        base = int(side_nodes.max()) + 1
+        key = (side_nodes[:, 0] * base + side_nodes[:, 1]) * base + side_nodes[:, 2]
+        order = np.argsort(key, kind="stable")
+        starts = np.flatnonzero(np.diff(key[order])) + 1
+        for fs in np.split(order, starts):
             ids, xs, ys = [], [], []
             for s in range(3):
                 ns = int(side_nodes[fs[0], s])
@@ -1086,14 +1161,19 @@ def initial_direction(space: ConeSurface, p: int, q: int, h: float,
 def toponogov_check(space: ConeSurface, cache: DistanceCache,
                     quadruple, kappa: float, tol: float) -> bool:
     """Alexandrov quadruple condition: the three comparison angles at p sum
-    to at most 2 pi + tol."""
+    to at most 2 pi + tol.
+
+    The six distances come from one vertex_block sweep from p, a and b;
+    nothing enters the cache.
+    """
     _check_cache(space, cache)
+    for v in quadruple:
+        _check_vertex(space, v)
     p, a, b, c = quadruple
-    dp = cache.field(p)
-    da = cache.field(a)
-    db = cache.field(b)
-    pa, pb, pc = dp.distance_to(a), dp.distance_to(b), dp.distance_to(c)
-    ab, bc, ca = da.distance_to(b), db.distance_to(c), da.distance_to(c)
+    d = cache.vertex_block([p, a, b])
+    pa, pb, pc, ab, bc, ca = d[0, a], d[0, b], d[0, c], d[1, b], d[2, c], d[1, c]
+    if not np.isfinite([pa, pb, pc, ab, bc, ca]).all():
+        raise UnreachableError(f"quadruple {tuple(quadruple)} is not connected")
     total = (
         comparison_angle(kappa, ab, pa, pb)
         + comparison_angle(kappa, bc, pb, pc)
@@ -1240,8 +1320,8 @@ def load_off(path) -> ConeSurface:
     A malformed file raises MeshFormatError naming the file and its first
     bad line; each line is checked for its token count, then its
     conversion, then its values.  Each block of lines is read at once; if
-    it fails, its lines are read again one at a time, by the same reader,
-    to find the first bad one.
+    it fails, its first bad line is found by bisection over prefixes of the
+    block, read by the same reader.
     """
 
     def fail(num, msg):
@@ -1260,17 +1340,26 @@ def load_off(path) -> ConeSurface:
     del text
 
     def block(start, stop, parse):
-        """parse() of content rows [start, stop).  If it raises, the rows are
-        parsed one at a time to fail at the first bad one."""
+        """parse() of content rows [start, stop).  If it raises, the shortest
+        failing prefix is found by bisection, and its last row is parsed
+        alone for the message: every check is a check of one row, so a
+        prefix fails exactly when it holds a bad row."""
         try:
             return parse(content[start:stop])
         except ValueError:
-            for row, num in zip(content[start:stop], nums[start:stop]):
+            good, bad = start, stop  # content[start:good] parses, [start:bad] fails
+            while bad - good > 1:
+                mid = (good + bad) // 2
                 try:
-                    parse([row])
-                except ValueError as err:
-                    fail(num, err)
-            raise  # not reached: every check is a check of one row
+                    parse(content[start:mid])
+                    good = mid
+                except ValueError:
+                    bad = mid
+            try:
+                parse(content[bad - 1 : bad])
+            except ValueError as err:
+                fail(nums[bad - 1], err)
+            raise  # not reached: a prefix fails only at a bad row
 
     def vertex_rows(rows):
         x = _read_rows(rows, [("xyz", float, 3)], lambda t: len(t) == 3,

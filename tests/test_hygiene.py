@@ -206,14 +206,15 @@ def test_unread_constant_is_reported(tmp_path):
 
 
 def test_import_footprint():
-    # scipy.integrate is not used and costs every process ~12 MB; a first
+    # scipy.integrate is not used and costs every process ~12 MB, and
+    # scipy.spatial (Qhull) with the scipy.special it loads ~8 MB; a first
     # flat_disk call must not import inside a timed region
     script = (
         "import importlib, pathlib, sys\n"
         f"sys.path.insert(0, {str(SRC.parent)!r})\n"
         f"for path in sorted(pathlib.Path({str(SRC)!r}).glob('*.py')):\n"
         "    importlib.import_module('alexlab' if path.stem == '__init__' else 'alexlab.' + path.stem)\n"
-        "print('scipy.integrate' in sys.modules)\n"
+        "print([m for m in ('scipy.integrate', 'scipy.spatial', 'scipy.special') if m in sys.modules])\n"
         "before = set(sys.modules)\n"
         "from alexlab.space import flat_disk\n"
         "flat_disk(1, 0.2)\n"
@@ -221,7 +222,7 @@ def test_import_footprint():
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          check=True).stdout
-    assert out.splitlines() == ["False", "[]"]
+    assert out.splitlines() == ["[]", "[]"]
 
 
 def test_console_scripts_resolve():

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -17,6 +18,8 @@ from alexlab.exceptions import (
     TriangleInequalityError,
     UnreachableError,
 )
+from alexlab import space
+from alexlab.model import comparison_angle
 from alexlab.space import (
     DistanceCache,
     ball_volume,
@@ -114,6 +117,57 @@ def test_flat_disk_area_and_regularity():
     assert len(disk.singular_vertices) == 0
     interior = ~disk.boundary_vertex
     assert np.max(np.abs(disk.cone_angle[interior] - 2 * math.pi)) < 1e-9
+
+
+def cross(xy, a, b, c):
+    """Twice the signed areas of the triangles (a, b, c)."""
+    (ux, uy), (vx, vy) = (xy[b] - xy[a]).T, (xy[c] - xy[a]).T
+    return ux * vy - uy * vx
+
+
+def lifted_incircle(xy, a, b, c, d):
+    """det [p - d, |p - d|^2] over the rows p = a, b, c: positive where d
+    lies inside the circle through a, b, c, if they run counterclockwise."""
+    rows = np.stack([xy[a] - xy[d], xy[b] - xy[d], xy[c] - xy[d]], axis=1)
+    return np.linalg.det(np.concatenate([rows, (rows**2).sum(axis=2, keepdims=True)], axis=2))
+
+
+# R/h: a lone center (< 1.95), a sweep, and the benchmark disks
+DELAUNAY_DISKS = ([(1.0, 1.0 / rh) for rh in np.r_[0.01, np.linspace(0.5, 60, 25)]]
+                  + [(1.0, 0.05), (math.sqrt(math.sqrt(3) / 2), 0.04), (1.0, 0.02)])
+
+
+@pytest.mark.parametrize("R, h", DELAUNAY_DISKS)
+def test_flat_disk_is_delaunay_and_matches_qhull(R, h):
+    from scipy.spatial import Delaunay  # test-only oracle
+
+    disk = flat_disk(R, h)
+    xy, faces, V = disk.embedding, disk.faces, disk.n_vertices
+    rim = np.arange(V - max(8, round(2 * math.pi * R / h)), V)
+    qhull = Delaunay(xy)
+    assert len(faces) == len(qhull.simplices)
+    assert np.array_equal(np.flatnonzero(disk.boundary_vertex), rim)
+    assert np.array_equal(np.unique(qhull.convex_hull), rim)
+    assert (cross(xy, faces[:, 0], faces[:, 1], faces[:, 2]) > 0).all()  # counterclockwise
+    # every interior edge (a, b), far corners c and d, passes the incircle test
+    two = disk.edge_faces[:, 1] >= 0
+    a, b = disk.edges[two].T
+    f0, f1 = disk.edge_faces[two].T
+    c = faces[f0].sum(axis=1) - a - b
+    d = faces[f1].sum(axis=1) - a - b
+    det = np.sign(cross(xy, a, b, c)) * lifted_incircle(xy, a, b, c, d)
+    tol = 1e-9 * min(h, R) ** 4
+    assert (det <= tol).all()
+    # the faces are Qhull's, but for quads cocircular within tol whose
+    # diagonal Qhull took the other way
+    ours = {tuple(f) for f in np.sort(faces, axis=1).tolist()}
+    theirs = {tuple(f) for f in np.sort(qhull.simplices, axis=1).tolist()}
+    for k in np.flatnonzero(np.abs(det) <= tol):
+        old = [tuple(sorted(f)) for f in faces[[f0[k], f1[k]]].tolist()]
+        if old[0] not in theirs and old[1] not in theirs:
+            ours -= set(old)
+            ours |= {tuple(sorted((a[k], c[k], d[k]))), tuple(sorted((b[k], c[k], d[k])))}
+    assert ours == theirs
 
 
 def test_icosphere_area_and_gauss_bonnet():
@@ -435,6 +489,36 @@ def test_toponogov_rejects_non_vertices():
             quad[i] = v
             with pytest.raises(DomainError, match="out of range"):
                 toponogov_check(disk, cache, tuple(quad), 0.0, 0.1)
+
+
+def test_toponogov_reads_one_sweep_and_stores_nothing():
+    # the verdicts of three full distance fields, around a saddle vertex
+    saddle = cone_disk(2 * math.pi + 1.2, 1.0, 0.1)
+    cache = DistanceCache(saddle, 0.02)
+    rng = np.random.default_rng(5)
+    verdicts = set()
+    for k in range(12):
+        p, a, b, c = (int(v) for v in 1 + rng.choice(saddle.n_vertices - 1, size=4, replace=False))
+        p = 0 if k % 2 else p  # the apex
+        dp, da, db = (distance_field(saddle, v, 0.02).vertex_dist for v in (p, a, b))
+        total = (comparison_angle(0.0, da[b], dp[a], dp[b])
+                 + comparison_angle(0.0, db[c], dp[b], dp[c])
+                 + comparison_angle(0.0, da[c], dp[c], dp[a]))
+        verdict = toponogov_check(saddle, cache, (p, a, b, c), 0.0, 1e-3)
+        assert verdict == (total <= 2 * math.pi + 1e-3)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    assert cache._fields == {}
+
+
+def test_toponogov_infinite_distance_is_unreachable(monkeypatch):
+    disk = flat_disk(1.0, 0.3)
+    cache = DistanceCache(disk, 0.1)
+    block = cache.vertex_block([0, 1, 2])
+    block[2, 3] = np.inf
+    monkeypatch.setattr(cache, "vertex_block", lambda sources: block)
+    with pytest.raises(UnreachableError):
+        toponogov_check(disk, cache, (0, 1, 2, 3), 0.0, 0.1)
 
 
 def test_toponogov_saddle_vertex_fails_kappa0():
@@ -775,6 +859,27 @@ def test_load_off_peak_memory(tmp_path):
     surf, peak = traced_peak(lambda: load_off(path))
     assert surf.n_vertices == 2252
     assert peak <= 10 * path.stat().st_size
+
+
+@pytest.mark.parametrize("block", ["vertex", "face", "record"])
+def test_load_off_finds_a_bad_last_line_by_bisection(block, monkeypatch, tmp_path):
+    path = tmp_path / "disk.off"
+    save_off(flat_disk(1.0, 0.05), path)
+    lines = path.read_text().split("\n")[:-1]
+    nv, nf = (int(t) for t in lines[1].split()[:2])
+    last, bad, message = {
+        "vertex": (2 + nv, "0 x 0", "bad vertex coordinate"),
+        "face": (2 + nv + nf, "3 0 1", "face line must be '3 i j k'"),
+        "record": (len(lines), "0 1 -1", "invalid edge length -1.0"),
+    }[block]
+    lines[last - 1] = bad
+    path.write_text("\n".join(lines) + "\n")
+    calls = []
+    read_rows = space._read_rows
+    monkeypatch.setattr(space, "_read_rows", lambda *a: calls.append(1) or read_rows(*a))
+    with pytest.raises(MeshFormatError, match=rf"disk\.off:{last}: {re.escape(message)}"):
+        load_off(path)
+    assert len(calls) <= 2 * math.ceil(math.log2(len(lines))) + 2
 
 
 # ---------------------------------------------------------------------------
