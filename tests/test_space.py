@@ -9,6 +9,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse import csgraph
 
+import alexlab.space
 from alexlab.exceptions import (
     AlexlabError,
     DisconnectedError,
@@ -18,7 +19,6 @@ from alexlab.exceptions import (
     TriangleInequalityError,
     UnreachableError,
 )
-from alexlab import space
 from alexlab.model import comparison_angle
 from alexlab.space import (
     DistanceCache,
@@ -158,11 +158,14 @@ def test_flat_disk_is_delaunay_and_matches_qhull(R, h):
     det = np.sign(cross(xy, a, b, c)) * lifted_incircle(xy, a, b, c, d)
     tol = 1e-9 * min(h, R) ** 4
     assert (det <= tol).all()
-    # the faces are Qhull's, but for quads cocircular within tol whose
-    # diagonal Qhull took the other way
+    # a quad cocircular within tol takes the diagonal through its lowest id
+    cocircular = np.flatnonzero(np.abs(det) <= tol)
+    assert (np.minimum(a, b) < np.minimum(c, d))[cocircular].all()
+    # the faces are Qhull's, but for cocircular quads whose diagonal Qhull
+    # took the other way
     ours = {tuple(f) for f in np.sort(faces, axis=1).tolist()}
     theirs = {tuple(f) for f in np.sort(qhull.simplices, axis=1).tolist()}
-    for k in np.flatnonzero(np.abs(det) <= tol):
+    for k in cocircular:
         old = [tuple(sorted(f)) for f in faces[[f0[k], f1[k]]].tolist()]
         if old[0] not in theirs and old[1] not in theirs:
             ours -= set(old)
@@ -495,6 +498,9 @@ def test_toponogov_reads_one_sweep_and_stores_nothing():
     # the verdicts of three full distance fields, around a saddle vertex
     saddle = cone_disk(2 * math.pi + 1.2, 1.0, 0.1)
     cache = DistanceCache(saddle, 0.02)
+    sweeps = []
+    vertex_block = cache.vertex_block
+    cache.vertex_block = lambda sources: sweeps.append(sources) or vertex_block(sources)
     rng = np.random.default_rng(5)
     verdicts = set()
     for k in range(12):
@@ -508,6 +514,7 @@ def test_toponogov_reads_one_sweep_and_stores_nothing():
         assert verdict == (total <= 2 * math.pi + 1e-3)
         verdicts.add(verdict)
     assert verdicts == {True, False}
+    assert len(sweeps) == 12
     assert cache._fields == {}
 
 
@@ -875,8 +882,8 @@ def test_load_off_finds_a_bad_last_line_by_bisection(block, monkeypatch, tmp_pat
     lines[last - 1] = bad
     path.write_text("\n".join(lines) + "\n")
     calls = []
-    read_rows = space._read_rows
-    monkeypatch.setattr(space, "_read_rows", lambda *a: calls.append(1) or read_rows(*a))
+    read_rows = alexlab.space._read_rows
+    monkeypatch.setattr(alexlab.space, "_read_rows", lambda *a: calls.append(1) or read_rows(*a))
     with pytest.raises(MeshFormatError, match=rf"disk\.off:{last}: {re.escape(message)}"):
         load_off(path)
     assert len(calls) <= 2 * math.ceil(math.log2(len(lines))) + 2
