@@ -3,7 +3,7 @@
 PL functions carry one value per mesh vertex.  Gradients are constant per
 face (computed in the face's intrinsic chart), the energy form uses cotan
 edge weights with lumped vertex masses, and the distributional Laplacian
-is the functional phi -> -E(u, phi) evaluated against hat functions.
+is the functional phi -> -E(u, phi).
 """
 
 from __future__ import annotations
@@ -33,18 +33,6 @@ class PLFunction:
             )
         if not np.all(np.isfinite(self.values)):
             raise DomainError("PL function values must be finite")
-
-    @classmethod
-    def constant(cls, surface, c):
-        return cls(surface, np.full(surface.n_vertices, float(c)))
-
-    @classmethod
-    def from_embedding(cls, surface, fn):
-        """Sample a callable of the embedding coordinates at each vertex."""
-        if surface.embedding is None:
-            raise DomainError("surface has no embedding coordinates")
-        vals = np.asarray([fn(*xy) for xy in surface.embedding], dtype=float)
-        return cls(surface, vals)
 
 
 @dataclass
@@ -156,42 +144,10 @@ def assemble_operator(space: ConeSurface) -> DirichletOperator:
     )
 
 
-def dirichlet_form(op: DirichletOperator, u: PLFunction, v: PLFunction) -> float:
-    """Energy E(u, v) = sum of cotan-weighted edge products."""
-    _check_host(op.surface, u, v)
-    return float(u.values @ (op.stiffness @ v.values))
-
-
-def laplacian_functional(op: DirichletOperator, u: PLFunction, phi: PLFunction) -> float:
-    """L_u(phi) = -E(u, phi) for a test function vanishing on the boundary."""
-    _check_host(op.surface, u, phi)
-    if np.any(phi.values[op.boundary] != 0.0):
-        raise DomainError("test function must vanish on boundary nodes")
-    return -dirichlet_form(op, u, phi)
-
-
 def laplacian_vector(op: DirichletOperator, u: PLFunction) -> np.ndarray:
     """L_u against every vertex hat at once: -(K u)_i per vertex."""
     _check_host(op.surface, u)
     return -(op.stiffness @ u.values)
-
-
-def hat_functions(space: ConeSurface, region) -> list[PLFunction]:
-    """One nonnegative hat per interior vertex of the region.
-
-    region is a boolean vertex mask; hats are 1 at their vertex and 0
-    elsewhere, so each lies in the Lipschitz functions of compact support
-    inside the region.
-    """
-    ids = interior_region_vertices(space, region)
-    if len(ids) == 0:
-        raise DomainError("region has empty interior")
-    hats = []
-    for i in ids:
-        vals = np.zeros(space.n_vertices)
-        vals[i] = 1.0
-        hats.append(PLFunction(space, vals))
-    return hats
 
 
 def _region_mask(space, region):
@@ -229,16 +185,6 @@ def shell_integral(space: ConeSurface, field: DistanceField, u: PLFunction,
         raise DomainError(f"shell at r={r}, eps={eps} contains no vertex")
     masses = space.vertex_masses()
     return float(masses[sel] @ u.values[sel]) / (2 * eps)
-
-
-def ball_integral(space: ConeSurface, field: DistanceField, u: PLFunction,
-                  r: float) -> float:
-    """Lumped integral of u over the metric ball {dist <= r}."""
-    _check_host(space, u)
-    d = field.vertex_dist
-    sel = d <= r
-    masses = space.vertex_masses()
-    return float(masses[sel] @ u.values[sel])
 
 
 def green_identity_check(space: ConeSurface, op: DirichletOperator, p: int,

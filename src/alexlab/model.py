@@ -1,17 +1,13 @@
 """Closed-form kernels of the 2-D model plane of curvature k.
 
 Everything in this module is a pure function of scalars: generalized sine
-and cosine, the radial Green kernel, circle lengths and disk areas of the
-model plane of curvature k, areas of cones over a circle of given length,
-triangle comparison angles via the k-cosine law, and Bishop-Gromov area
-ratios.  k has units 1/length^2.
+and cosine, the radial Green kernel, and triangle comparison angles via the
+k-cosine law in the model plane of curvature k.  k has units 1/length^2.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .exceptions import DomainError, PerimeterTooLargeError, TriangleInequalityError
 
@@ -37,8 +33,9 @@ def generalized_sine(k: float, t: float) -> float:
     Three branches: sin(sqrt(k) t)/sqrt(k) for k > 0, t for k = 0,
     sinh(sqrt(-k) t)/sqrt(-k) for k < 0.  Continuous in k at k = 0.
     """
-    if t < 0:
-        raise DomainError(f"generalized sine needs t >= 0, got {t}")
+    _check_k(k)
+    if not (math.isfinite(t) and t >= 0):
+        raise DomainError(f"generalized sine needs a finite t >= 0, got {t}")
     if abs(k) < FLAT_CURVATURE_EPS:
         return t
     if k > 0:
@@ -103,41 +100,6 @@ def green_kernel_deriv(k: float, r: float) -> float:
     return -1.0 / (math.tau * s)
 
 
-def model_sphere_area(k: float, r: float) -> float:
-    """Length of the metric circle of radius r: 2 pi s_k(r)."""
-    _check_k(k)
-    if r < 0:
-        raise DomainError(f"sphere area needs r >= 0, got {r}")
-    if k > FLAT_CURVATURE_EPS and r > math.pi / math.sqrt(k) + 1e-15:
-        raise DomainError(f"r={r} exceeds the diameter of the k={k} model")
-    return math.tau * generalized_sine(k, r)
-
-
-def model_ball_volume(k: float, r: float) -> float:
-    """Area of the metric disk of radius r in the model plane."""
-    _check_k(k)
-    if r < 0:
-        raise DomainError(f"ball volume needs r >= 0, got {r}")
-    if k > FLAT_CURVATURE_EPS and r > math.pi / math.sqrt(k) + 1e-15:
-        raise DomainError(f"r={r} exceeds the diameter of the k={k} model")
-    if r == 0:
-        return 0.0
-    if abs(k) < FLAT_CURVATURE_EPS:
-        return math.tau * r**2 / 2
-    # integral of s_k is (1 - cos(sqrt(k) r))/k in both signed branches
-    return math.tau * (1.0 - generalized_cosine(k, r)) / k
-
-
-def cone_ball_volume(theta: float, k: float, r: float) -> float:
-    """Disk area in the k-cone of cone angle theta.
-
-    The cone scales the model disk area by theta/(2 pi).
-    """
-    if theta <= 0:
-        raise DomainError(f"cone angle must be positive, got {theta}")
-    return theta / math.tau * model_ball_volume(k, r)
-
-
 def comparison_angle(k: float, opp: float, s1: float, s2: float) -> float:
     """Angle opposite `opp` in the curvature-k model triangle (s1, s2, opp).
 
@@ -172,24 +134,3 @@ def comparison_angle(k: float, opp: float, s1: float, s2: float) -> float:
         den = math.sinh(rk * s1) * math.sinh(rk * s2)
         c = num / den
     return math.acos(min(1.0, max(-1.0, c)))
-
-def bishop_gromov_profile(pairs, k: float) -> tuple[np.ndarray, bool]:
-    """Ratios area(B(r))/model disk area plus a monotonicity flag.
-
-    pairs is a sequence of (r, area) pairs with strictly increasing radii
-    and nondecreasing, nonnegative areas.  The flag is True iff the ratio
-    sequence is nonincreasing within 1e-9.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise DomainError("bishop_gromov_profile needs at least one (r, area) pair")
-    radii = np.asarray([p[0] for p in pairs], dtype=float)
-    vols = np.asarray([p[1] for p in pairs], dtype=float)
-    if np.any(np.diff(radii) <= 0):
-        raise DomainError("radii must be strictly increasing")
-    if np.any(vols < 0) or np.any(np.diff(vols) < 0):
-        raise DomainError("areas must be nonnegative and nondecreasing")
-    model = np.asarray([model_ball_volume(k, r) for r in radii])
-    ratios = vols / model
-    monotone = bool(np.all(np.diff(ratios) <= 1e-9))
-    return ratios, monotone

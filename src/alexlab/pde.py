@@ -75,13 +75,14 @@ def solve_poisson_dirichlet(space: ConeSurface, op: DirichletOperator, f, g,
     """Solve L_u = f vol with Dirichlet data g on the boundary nodes.
 
     f and g may be PLFunctions, scalars, or per-vertex arrays (f = None
-    means the harmonic case).  boundary_mask overrides the surface
-    boundary to solve on sub-regions.  Conjugate gradients run to relative
-    residual `tol` with cap 50 sqrt(n).
+    means the harmonic case).  boundary_mask, one entry per vertex,
+    overrides the surface boundary to solve on sub-regions.  Conjugate
+    gradients run to relative residual `tol`, finite and positive, with cap
+    50 sqrt(n).
     """
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    bmask = op.boundary if boundary_mask is None else np.asarray(boundary_mask, bool)
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
+    bmask = op.boundary if boundary_mask is None else _region_mask(space, boundary_mask)
     if not bmask.any():
         raise EmptyBoundaryError("Dirichlet solve needs a nonempty boundary set")
     fv = _as_values(space, f, "f")
@@ -230,35 +231,6 @@ def first_nonzero_eigenpair(space: ConeSurface, op: DirichletOperator,
     raise SolverDivergedError(
         f"shift-invert Lanczos did not reach tolerance {tol} in {j + 1} steps"
     )
-
-
-def solve_closed_harmonic(space: ConeSurface, op: DirichletOperator,
-                          f=None) -> PLFunction:
-    """Zero-mean solution of L_u = f vol on a closed surface.
-
-    With f = 0 this converges to the zero-mean element of the stiffness
-    kernel; the iteration starts from a random zero-mean vector so a
-    nontrivial kernel would be detected.
-    """
-    if not space.is_closed:
-        raise NotClosedError("closed-surface solve needs a closed surface")
-    fv = _as_values(space, f, "f")
-    M = op.masses
-    if abs(float(M @ fv)) > 1e-8 * float(M.sum()) * (np.abs(fv).max() + 1e-30):
-        raise DomainError("right-hand side must have zero mean on a closed surface")
-    K = op.stiffness
-    x0 = np.random.default_rng(99).standard_normal(space.n_vertices)
-    x0 -= (M @ x0) / M.sum()
-    rhs = -(M * fv)
-    cap = max(200, int(CG_ITER_FACTOR * math.sqrt(space.n_vertices)))
-    scale = max(np.linalg.norm(rhs), 1e-6)
-    sol, info = sla.cg(K, rhs, x0=x0, rtol=0.0, atol=1e-14 * scale, maxiter=cap)
-    if info != 0:
-        sol, info = sla.cg(K, rhs, x0=x0, rtol=0.0, atol=1e-12 * scale, maxiter=3 * cap)
-        if info != 0:
-            raise SolverDivergedError("closed-surface CG did not converge")
-    sol -= (M @ sol) / M.sum()
-    return PLFunction(space, sol)
 
 
 @dataclass

@@ -52,7 +52,7 @@ class ExperimentReport:
 def make_report(name, params, slacks, tolerance, fitted=None,
                 meta=None) -> ExperimentReport:
     """Assemble a report enforcing the pass <=> min slack >= -tolerance rule."""
-    if tolerance < 0:
+    if not tolerance >= 0:
         raise DomainError(f"tolerance must be nonnegative, got {tolerance}")
     slacks = [float(s) for s in np.atleast_1d(np.asarray(slacks, dtype=float))]
     ok = not slacks or min(slacks) >= -tolerance

@@ -192,10 +192,6 @@ class ConeSurface:
     def is_closed(self) -> bool:
         return len(self.boundary_edges) == 0
 
-    @property
-    def total_area(self) -> float:
-        return float(self.face_area.sum())
-
     def charts(self) -> np.ndarray:
         """Per-face 2D coordinates (F, 3, 2) laid out from side lengths."""
         if self._charts is None:
@@ -528,7 +524,7 @@ def cone_disk(theta: float, R: float, h: float) -> ConeSurface:
         return np.sqrt(np.maximum(r1 * r1 + r2 * r2 - 2 * r1 * r2 * np.cos(dphi), 0.0))
 
     surf = build_surface(faces, lengths, declared_k=0.0, mesh_h=h)
-    # abstract cone coordinates (r, phi) kept for diagnostics only
+    # abstract cone coordinates (r, phi) per vertex, which exact cone distances unroll
     surf.cone_coords = np.c_[radii, angles]
     return surf
 
@@ -818,13 +814,6 @@ class DistanceField:
     def vertex_dist(self) -> np.ndarray:
         return self.node_dist[: self.surface.n_vertices]
 
-    def distance_to(self, vertex: int) -> float:
-        _check_vertex(self.surface, vertex)
-        d = self.node_dist[vertex]
-        if not math.isfinite(d):
-            raise UnreachableError(f"vertex {vertex} unreachable from {self.source}")
-        return float(d)
-
 
 def distance_field(space: ConeSurface, source: int, h: float) -> DistanceField:
     """Shortest-path distance field from a source vertex.
@@ -893,14 +882,19 @@ class DistanceCache:
     def vertex_block(self, sources, limit=np.inf):
         """Vertex-to-vertex distances (len(sources), V), inf beyond `limit`.
 
-        The result is a view of the (len(sources), graph nodes) sweep.
+        The result is a view of the (len(sources), graph nodes) sweep.  A
+        source outside [0, V) raises DomainError: Steiner nodes are not
+        vertices.
         """
-        g = self.space.graph(self.h)
+        V = self.space.n_vertices
         sources = np.asarray(sources, dtype=np.int64)
+        if sources.size and not (sources.min() >= 0 and sources.max() < V):
+            raise DomainError(f"sources must be vertex ids in [0, {V})")
         # directed=True reads the matrix as given: it is U + U.T, exactly
         # symmetric (see _SteinerGraph), so this equals the undirected search
-        d = csgraph.dijkstra(g.matrix, directed=True, indices=sources, limit=limit)
-        return d[:, : self.space.n_vertices]
+        d = csgraph.dijkstra(self.space.graph(self.h).matrix, directed=True, indices=sources,
+                             limit=limit)
+        return d[:, :V]
 
     def ball_chunks(self, sources, radii):
         """Distance balls of `sources`: stored rows first, then swept ones.
@@ -1167,6 +1161,8 @@ def toponogov_check(space: ConeSurface, cache: DistanceCache,
     nothing enters the cache.
     """
     _check_cache(space, cache)
+    if len(quadruple) != 4:
+        raise DomainError(f"need four vertex ids (p, a, b, c), got {len(quadruple)}")
     for v in quadruple:
         _check_vertex(space, v)
     p, a, b, c = quadruple
@@ -1180,34 +1176,6 @@ def toponogov_check(space: ConeSurface, cache: DistanceCache,
         + comparison_angle(kappa, ca, pc, pa)
     )
     return bool(total <= 2 * math.pi + tol)
-
-
-# ---------------------------------------------------------------------------
-# ball volumes from a PL distance field
-# ---------------------------------------------------------------------------
-
-
-def _sublevel_fraction(vals: np.ndarray, r: float) -> np.ndarray:
-    """Per-face area fraction of {PL interpolant <= r}; exact for PL fields."""
-    srt = np.sort(vals, axis=1)
-    a, b, c = srt[:, 0], srt[:, 1], srt[:, 2]
-    out = np.zeros(len(vals))
-    out[r >= c] = 1.0
-    mid = (r > a) & (r <= b)
-    den1 = np.maximum((b - a) * (c - a), 1e-300)
-    out[mid] = ((r - a) ** 2 / den1)[mid]
-    hi = (r > b) & (r < c)
-    den2 = np.maximum((c - a) * (c - b), 1e-300)
-    out[hi] = (1.0 - (c - r) ** 2 / den2)[hi]
-    return out
-
-
-def ball_volume(space: ConeSurface, field: DistanceField, r: float) -> float:
-    """Area of the sub-level set {dist <= r} of the PL distance interpolant."""
-    if math.isnan(r):
-        raise DomainError("ball radius is NaN")
-    vals = field.vertex_dist[space.faces]
-    return float(np.sum(space.face_area * _sublevel_fraction(vals, r)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,10 @@ from scipy import sparse
 from alexlab.calculus import (
     PLFunction,
     assemble_operator,
-    ball_integral,
-    dirichlet_form,
     face_gradient,
     face_inner,
     green_identity_check,
-    hat_functions,
     interior_region_vertices,
-    laplacian_functional,
     laplacian_vector,
     lip_field,
     shell_integral,
@@ -38,14 +34,14 @@ def disk_op(disk):
 
 
 def test_face_gradient_constant(disk):
-    u = PLFunction.constant(disk, 3.7)
+    u = PLFunction(disk, np.full(disk.n_vertices, 3.7))
     g = face_gradient(disk, u)
     assert np.abs(g.face_grad).max() == 0.0
     assert np.abs(g.vertex_sq).max() == 0.0
 
 
 def test_face_gradient_linear_exact(disk):
-    u = PLFunction.from_embedding(disk, lambda x, y: x)
+    u = PLFunction(disk, disk.embedding[:, 0])
     g = face_gradient(disk, u)
     assert np.abs(np.sqrt(g.face_sq) - 1.0).max() < 1e-10
 
@@ -65,7 +61,8 @@ def test_face_gradient_reproduces_vertex_values(disk):
 
 
 def test_face_gradient_quadratic_vertex_field(disk):
-    u = PLFunction.from_embedding(disk, lambda x, y: x * x - y * y)
+    x, y = disk.embedding.T
+    u = PLFunction(disk, x * x - y * y)
     g = face_gradient(disk, u)
     xy = disk.embedding
     want = 4 * (xy[:, 0] ** 2 + xy[:, 1] ** 2)
@@ -75,9 +72,9 @@ def test_face_gradient_quadratic_vertex_field(disk):
 
 
 def test_pointwise_lip(disk):
-    const = PLFunction.constant(disk, 2.0)
+    const = PLFunction(disk, np.full(disk.n_vertices, 2.0))
     assert lip_field(disk, const)[0] == 0.0
-    lin = PLFunction.from_embedding(disk, lambda x, y: x)
+    lin = PLFunction(disk, disk.embedding[:, 0])
     lips = lip_field(disk, lin)
     # 1-Lipschitz exactly; interior lattice vertices see a parallel edge
     assert lips.max() <= 1.0 + 1e-12
@@ -97,6 +94,11 @@ def test_distance_field_is_one_lipschitz(disk):
     assert lip_field(disk, u).max() <= 1.0 + 1e-9
 
 
+def energy(op, u, v):
+    """E(u, v) from the cotan stiffness."""
+    return float(u.values @ (op.stiffness @ v.values))
+
+
 def test_dirichlet_form_cotan_identity(disk, disk_op):
     # spec invariant: cotan form equals the face-gradient sum to 1e-10
     for _ in range(100):
@@ -104,17 +106,17 @@ def test_dirichlet_form_cotan_identity(disk, disk_op):
         v = PLFunction(disk, RNG.normal(size=disk.n_vertices))
         gu, gv = face_gradient(disk, u), face_gradient(disk, v)
         direct = float(np.sum(disk.face_area * face_inner(disk, gu, gv)))
-        assert dirichlet_form(disk_op, u, v) == pytest.approx(direct, abs=1e-10)
+        assert energy(disk_op, u, v) == pytest.approx(direct, abs=1e-10)
 
 
 def test_dirichlet_form_examples(disk, disk_op):
-    const = PLFunction.constant(disk, 5.0)
-    assert dirichlet_form(disk_op, const, const) == pytest.approx(0.0, abs=1e-12)
-    ux = PLFunction.from_embedding(disk, lambda x, y: x)
-    uy = PLFunction.from_embedding(disk, lambda x, y: y)
-    assert dirichlet_form(disk_op, ux, uy) == pytest.approx(0.0, abs=1e-10)
+    const = PLFunction(disk, np.full(disk.n_vertices, 5.0))
+    assert energy(disk_op, const, const) == pytest.approx(0.0, abs=1e-12)
+    ux = PLFunction(disk, disk.embedding[:, 0])
+    uy = PLFunction(disk, disk.embedding[:, 1])
+    assert energy(disk_op, ux, uy) == pytest.approx(0.0, abs=1e-10)
     # E(x, x) = area of the disk
-    assert dirichlet_form(disk_op, ux, ux) == pytest.approx(disk.total_area, rel=1e-10)
+    assert energy(disk_op, ux, ux) == pytest.approx(disk.face_area.sum(), rel=1e-10)
 
 
 def test_stiffness_row_sums_and_symmetry(disk_op):
@@ -122,7 +124,7 @@ def test_stiffness_row_sums_and_symmetry(disk_op):
     assert abs(K - K.T).max() < 1e-12
     row_sums = np.asarray(K.sum(axis=1)).ravel()
     assert np.abs(row_sums).max() < 1e-12
-    assert disk_op.masses.sum() == pytest.approx(disk_op.surface.total_area, rel=1e-12)
+    assert disk_op.masses.sum() == pytest.approx(disk_op.surface.face_area.sum(), rel=1e-12)
     assert np.all(disk_op.masses > 0)
 
 
@@ -201,21 +203,12 @@ def test_face_gradient_matches_general_solve(name, tmp_path):
 
 def test_face_inner_rejects_a_gradient_from_another_surface(disk):
     other = flat_disk(1.0, 0.1)
-    g = face_gradient(disk, PLFunction.constant(disk, 1.0))
-    g_other = face_gradient(other, PLFunction.constant(other, 1.0))
+    g = face_gradient(disk, PLFunction(disk, np.ones(disk.n_vertices)))
+    g_other = face_gradient(other, PLFunction(other, np.ones(other.n_vertices)))
     with pytest.raises(DomainError):
         face_inner(disk, g, g_other)
     with pytest.raises(DomainError):
         face_inner(other, g, g)
-
-
-def test_laplacian_functional_basics(disk, disk_op):
-    u = PLFunction(disk, RNG.normal(size=disk.n_vertices))
-    zero = PLFunction.constant(disk, 0.0)
-    assert laplacian_functional(disk_op, u, zero) == 0.0
-    bad = PLFunction.constant(disk, 1.0)
-    with pytest.raises(DomainError):
-        laplacian_functional(disk_op, u, bad)
 
 
 def test_laplacian_symmetry_for_interior_pair(disk, disk_op):
@@ -225,50 +218,41 @@ def test_laplacian_symmetry_for_interior_pair(disk, disk_op):
     p_vals = RNG.normal(size=disk.n_vertices) * interior
     u = PLFunction(disk, u_vals)
     phi = PLFunction(disk, p_vals)
-    assert laplacian_functional(disk_op, u, phi) == pytest.approx(
-        laplacian_functional(disk_op, phi, u), abs=1e-12
+    assert p_vals @ laplacian_vector(disk_op, u) == pytest.approx(
+        u_vals @ laplacian_vector(disk_op, phi), abs=1e-12
     )
 
 
 def test_linear_functions_are_harmonic(disk, disk_op):
     # L_u(hat) = 0 for every interior hat when u is linear
-    u = PLFunction.from_embedding(disk, lambda x, y: 2.0 - 3.0 * x + y)
+    x, y = disk.embedding.T
+    u = PLFunction(disk, 2.0 - 3.0 * x + y)
     lap = laplacian_vector(disk_op, u)
     assert np.abs(lap[~disk.boundary_vertex]).max() < 1e-10
 
 
 def test_laplacian_of_quadratic(disk, disk_op):
     # u = (x^2+y^2)/2 has L_u(hat_i) ~ 2 * mass_i
-    u = PLFunction.from_embedding(disk, lambda x, y: (x * x + y * y) / 2)
+    x, y = disk.embedding.T
+    u = PLFunction(disk, (x * x + y * y) / 2)
     fld = distance_field(disk, 0, 0.05)
     ids = interior_region_vertices(disk, fld.vertex_dist <= 0.7)
     lap = laplacian_vector(disk_op, u)[ids]
     assert np.abs(lap / disk_op.masses[ids] - 2.0).max() < 0.1
 
 
-def test_hat_functions(disk):
-    fld = distance_field(disk, 0, 0.05)
-    hats = hat_functions(disk, fld.vertex_dist <= 0.5)
-    assert len(hats) > 0
-    for hat in hats[:5]:
-        assert hat.values.min() == 0.0
-        assert hat.values.max() == 1.0
-        assert np.count_nonzero(hat.values) == 1
-    with pytest.raises(DomainError):
-        hat_functions(disk, np.zeros(disk.n_vertices, dtype=bool))
-
-
 def test_shell_integral_circle_length(disk):
     fld = distance_field(disk, 0, 0.02)
-    one = PLFunction.constant(disk, 1.0)
+    one = PLFunction(disk, np.ones(disk.n_vertices))
     val = shell_integral(disk, fld, one, 0.5, 2 * disk.mesh_h)
     assert val == pytest.approx(math.pi, rel=0.05)
 
 
 def test_shell_integral_odd_harmonic_vanishes(disk):
     fld = distance_field(disk, 0, 0.02)
-    u = PLFunction.from_embedding(disk, lambda x, y: x * x - y * y)
-    one = PLFunction.constant(disk, 1.0)
+    x, y = disk.embedding.T
+    u = PLFunction(disk, x * x - y * y)
+    one = PLFunction(disk, np.ones(disk.n_vertices))
     r = 0.5
     val = shell_integral(disk, fld, u, r, 2 * disk.mesh_h)
     mass = shell_integral(disk, fld, one, r, 2 * disk.mesh_h)
@@ -279,7 +263,7 @@ def test_shell_integral_cone_circle():
     theta = 3 * math.pi / 2
     cone = cone_disk(theta, 1.0, 0.05)
     fld = distance_field(cone, 0, 0.01)
-    one = PLFunction.constant(cone, 1.0)
+    one = PLFunction(cone, np.ones(cone.n_vertices))
     r = 0.5
     val = shell_integral(cone, fld, one, r, 2 * cone.mesh_h)
     assert val == pytest.approx(theta * r, rel=0.05)
@@ -287,7 +271,7 @@ def test_shell_integral_cone_circle():
 
 def test_shell_integral_errors(disk):
     fld = distance_field(disk, 0, 0.05)
-    one = PLFunction.constant(disk, 1.0)
+    one = PLFunction(disk, np.ones(disk.n_vertices))
     with pytest.raises(DomainError):
         # off-lattice radius with a sub-resolution shell width
         shell_integral(disk, fld, one, 0.477, 1e-9)
@@ -297,7 +281,7 @@ def test_green_identity_log_kernel():
     disk = flat_disk(1.0, 0.05)
     op = assemble_operator(disk)
     fld = distance_field(disk, 0, 0.02)
-    one = PLFunction.constant(disk, 1.0)
+    one = PLFunction(disk, np.ones(disk.n_vertices))
     rep = green_identity_check(
         disk, op, 0, 0.3, 0.7, one,
         phi_radial=lambda r: -math.log(r) / (2 * math.pi),
@@ -314,7 +298,7 @@ def test_green_identity_distance_squared():
     disk = flat_disk(1.0, 0.05)
     op = assemble_operator(disk)
     fld = distance_field(disk, 0, 0.02)
-    one = PLFunction.constant(disk, 1.0)
+    one = PLFunction(disk, np.ones(disk.n_vertices))
     r, R = 0.3, 0.7
     rep = green_identity_check(
         disk, op, 0, r, R, one,
@@ -333,7 +317,7 @@ def test_green_identity_zero_function():
     disk = flat_disk(1.0, 0.1)
     op = assemble_operator(disk)
     fld = distance_field(disk, 0, 0.05)
-    zero = PLFunction.constant(disk, 0.0)
+    zero = PLFunction(disk, np.zeros(disk.n_vertices))
     rep = green_identity_check(
         disk, op, 0, 0.3, 0.7, zero,
         phi_radial=lambda t: t * t,
@@ -344,14 +328,6 @@ def test_green_identity_zero_function():
     assert rep.fitted["rhs"] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_ball_integral(disk):
-    fld = distance_field(disk, 0, 0.02)
-    one = PLFunction.constant(disk, 1.0)
-    assert ball_integral(disk, fld, one, 0.6) == pytest.approx(
-        math.pi * 0.36, rel=0.08
-    )
-
-
 def test_harmonic_lip_stable_under_refinement():
     # refinement-stability probe: sup pointwise Lipschitz of the solved
     # harmonic function on a fixed compact subdomain must not grow by more
@@ -360,7 +336,8 @@ def test_harmonic_lip_stable_under_refinement():
     for h in (0.1, 0.05):
         disk = flat_disk(1.0, h)
         op = assemble_operator(disk)
-        g = PLFunction.from_embedding(disk, lambda x, y: 1 + x + 0.5 * y * y)
+        x, y = disk.embedding.T
+        g = PLFunction(disk, 1 + x + 0.5 * y * y)
         u = solve_poisson_dirichlet(disk, op, None, g, tol=1e-11)
         fld = distance_field(disk, 0, h / 2)
         sub = fld.vertex_dist <= 0.5

@@ -38,7 +38,7 @@ def cache(disk):
 
 
 def test_constant_function_fixed_point(disk, cache):
-    u = PLFunction.constant(disk, 2.5)
+    u = PLFunction(disk, np.full(disk.n_vertices, 2.5))
     res = hopf_lax(disk, cache, u, 0.3)
     assert np.abs(res.values - 2.5).max() == 0.0
     assert np.array_equal(res.foot, np.arange(disk.n_vertices))
@@ -46,7 +46,7 @@ def test_constant_function_fixed_point(disk, cache):
 
 
 def test_rejects_nonpositive_t(disk, cache):
-    u = PLFunction.constant(disk, 0.0)
+    u = PLFunction(disk, np.zeros(disk.n_vertices))
     with pytest.raises(DomainError):
         hopf_lax(disk, cache, u, 0.0)
 
@@ -122,7 +122,7 @@ def test_pruning_correctness(disk, cache):
 def test_linear_function_foot_shift():
     disk = flat_disk(1.0, 0.05)
     cache = DistanceCache(disk, disk.mesh_h)
-    u = PLFunction.from_embedding(disk, lambda x, y: 1 + x)
+    u = PLFunction(disk, 1 + disk.embedding[:, 0])
     t = 0.1
     res = hopf_lax(disk, cache, u, t)
     fld = distance_field(disk, 0, 0.05)
@@ -173,14 +173,14 @@ def test_semiconcavity_along_geodesic():
 def test_semigroup_audit_linear():
     disk = flat_disk(1.0, 0.05)
     cache = DistanceCache(disk, disk.mesh_h)
-    u = PLFunction.from_embedding(disk, lambda x, y: 1 + x)
+    u = PLFunction(disk, 1 + disk.embedding[:, 0])
     rep = semigroup_audit(disk, cache, u, [0.05, 0.1, 0.2])
     assert rep.passed
     assert rep.fitted["max_derivative_error"] <= 0.05
 
 
 def test_semigroup_audit_constant(disk, cache):
-    u = PLFunction.constant(disk, 3.0)
+    u = PLFunction(disk, np.full(disk.n_vertices, 3.0))
     rep = semigroup_audit(disk, cache, u, [0.1, 0.2])
     assert rep.passed
     assert rep.fitted["max_derivative_error"] <= 1e-12
@@ -209,7 +209,7 @@ def test_semigroup_audit_needs_two_distinct_times(monkeypatch, disk, cache, t_gr
 
 
 def test_footpoint_audit_constant(disk, cache):
-    u = PLFunction.constant(disk, 1.0)
+    u = PLFunction(disk, np.ones(disk.n_vertices))
     res = hopf_lax(disk, cache, u, 0.05)
     rep = footpoint_audit(disk, cache, res, u)
     assert rep.passed
@@ -700,7 +700,7 @@ def test_empty_mask_evaluates_and_sweeps_nothing(monkeypatch, disk):
 
 @pytest.mark.parametrize("at", [np.ones(5, dtype=bool), lambda v: True])
 def test_rejects_a_mask_that_is_not_one_flag_per_vertex(disk, cache, at):
-    u = PLFunction.constant(disk, 0.0)
+    u = PLFunction(disk, np.zeros(disk.n_vertices))
     with pytest.raises(DomainError):
         hopf_lax(disk, cache, u, 0.1, at=at)
 

@@ -1,9 +1,10 @@
 """Every name a module imports is used in that module, every private
-definition in alexlab is referred to, every public definition in alexlab
-is referred to from alexlab, the tests or the benchmark, every parameter
-of an alexlab function is read, every UPPER_CASE module constant of
-alexlab is read in alexlab, importing alexlab loads no module that it
-does not use, and every console script in pyproject.toml resolves."""
+definition in alexlab is referred to, every definition in alexlab is
+reached from the benchmark, from alexlab's module-level code or from a
+definition that awaits a planned caller, every parameter of an alexlab
+function is read, every UPPER_CASE module constant of alexlab is read in
+alexlab, importing alexlab loads no module that it does not use, and every
+console script in pyproject.toml resolves."""
 
 import ast
 import importlib
@@ -11,12 +12,14 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "alexlab"
-MODULES = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+MODULES = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")) + BENCH
 
 
 def unused_imports(path):
@@ -33,7 +36,8 @@ def unused_imports(path):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name if p.parent == SRC
+                         else f"{p.parent.name}/{p.name}")
 def test_module_uses_every_import(path):
     assert unused_imports(path) == []
 
@@ -91,23 +95,115 @@ def test_unused_private_definition_is_reported(tmp_path):
     assert unused_private_definitions([mod]) == [("mod.py", 5, "_unused"), ("mod.py", 16, "_spare")]
 
 
-def unreferenced_public_definitions(defined, referring):
-    """(file name, line, name) of each public function, class, method or
-    property in `defined` that no name or attribute in `referring` refers
-    to; dunders are exempt."""
-    used = referred_names(ast.parse(path.read_text(), filename=str(path)) for path in referring)
-    found = []
-    for path in defined:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_") and node.name not in used):
-                found.append((path.name, node.lineno, node.name))
-    return sorted(found)
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# Definitions that nothing reaches yet, each with the ROADMAP item that is
+# to call it.  An entry must go once its definition is gone or reached, so
+# the list can only shrink.
+AWAITING_CALLER = MappingProxyType({
+    "supersolution_slack": "item 2: Q_t u as a supersolution",
+    "node_values": "item 4: Hopf-Lax feet on every graph node",
+    "euler_characteristic": "item 13: doubled surfaces have chi = 2",
+    "generalized_cosine": "item 14: cot_k of the distance comparison",
+    "green_kernel": "item 8: the Green experiment",
+    "green_kernel_deriv": "item 8: the Green experiment",
+    "green_identity_check": "item 8: the Green experiment",
+})
 
 
-def test_every_public_definition_is_referred_to():
-    referring = [p for d in (SRC, ROOT / "tests", ROOT / "perfbench") for p in sorted(d.glob("*.py"))]
-    assert unreferenced_public_definitions(sorted(SRC.glob("*.py")), referring) == []
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def own_names(node):
+    """Every name and attribute name in the code of `node` itself.  A
+    function or class defined inside it adds only its decorators, default
+    values and bases: its body is its own."""
+    names, todo = set(), list(ast.iter_child_nodes(node))
+    while todo:
+        child = todo.pop()
+        if isinstance(child, DEFINITIONS):
+            todo.extend(child.decorator_list)
+            if isinstance(child, ast.ClassDef):
+                todo.extend(child.bases + child.keywords)
+            else:
+                todo.extend(child.args.defaults + [d for d in child.args.kw_defaults if d])
+            continue
+        if isinstance(child, ast.Name):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+        todo.extend(ast.iter_child_nodes(child))
+    return names
+
+
+def reached_names(trees, roots):
+    """The closure of the names `roots` over the definitions in `trees`: a
+    reached name reaches the names in the code of every definition of that
+    name, and a reached class also reaches those in its dunder methods."""
+    defs = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, DEFINITIONS):
+                defs.setdefault(node.name, []).append(node)
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in defs.get(name, ()):
+            todo.extend(own_names(node))
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, DEFINITIONS) and is_dunder(method.name):
+                        todo.extend(own_names(method))
+    return reached
+
+
+def root_names(library_trees, users, awaiting=()):
+    """The names the walk starts from: those in the module-level code of
+    the syntax trees `library_trees`, those anywhere in the files `users`,
+    and `awaiting`."""
+    roots = set(awaiting) | referred_names(ast.parse(path.read_text(), filename=str(path))
+                                           for path in users)
+    for tree in library_trees:
+        roots |= own_names(tree)
+    return roots
+
+
+def unreached_definitions(library, users, awaiting=()):
+    """(file name, line, name) of each function, class, method or property
+    in `library` that no root reaches (see root_names); dunders are exempt."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in library}
+    reached = reached_names(trees.values(), root_names(trees.values(), users, awaiting))
+    return sorted((path.name, node.lineno, node.name)
+                  for path, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, DEFINITIONS) and not is_dunder(node.name)
+                  and node.name not in reached)
+
+
+def test_every_definition_is_reachable():
+    assert unreached_definitions(sorted(SRC.glob("*.py")), BENCH, AWAITING_CALLER) == []
+
+
+def stale_entries(library, users, awaiting):
+    """(name, reason) of each entry of `awaiting` that `library` no longer
+    defines, or that the walk reaches from the other roots."""
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in library]
+    defined = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, DEFINITIONS)}
+    stale = []
+    for name in sorted(awaiting):
+        if name not in defined:
+            stale.append((name, "gone"))
+        elif name in reached_names(trees, root_names(trees, users, set(awaiting) - {name})):
+            stale.append((name, "reached"))
+    return stale
+
+
+def test_awaiting_callers_are_defined_and_unreached():
+    assert stale_entries(sorted(SRC.glob("*.py")), BENCH, AWAITING_CALLER) == []
 
 
 def test_unreferenced_public_definition_is_reported(tmp_path):
@@ -119,11 +215,23 @@ def test_unreferenced_public_definition_is_reported(tmp_path):
         "    def __init__(self):\n        self.x = called()\n\n"
         "    @property\n    def size(self):\n        return self.x\n\n"
         "    def unused(self):\n        pass\n\n\n"
-        "class Spare:\n    pass\n"
+        "class Spare:\n    pass\n\n\n"
+        "def dead():\n    return helper()\n\n\n"
+        "def helper():\n    def inner():\n        return 2\n    return inner\n\n\n"
+        "def waiting():\n    return spare()\n\n\n"
+        "def _setup():\n    return 3\n\n\n"
+        "LIMIT = _setup()\n"
     )
     user.write_text("import lib\n\nprint(lib.Box().size)\n")
-    assert unreferenced_public_definitions([lib], [lib, user]) == [
-        ("lib.py", 5, "spare"), ("lib.py", 17, "unused"), ("lib.py", 21, "Spare"),
+    # helper is reached only from the dead function dead, inner only from helper
+    dead = [("lib.py", 17, "unused"), ("lib.py", 21, "Spare"), ("lib.py", 25, "dead"),
+            ("lib.py", 29, "helper"), ("lib.py", 30, "inner")]
+    assert unreached_definitions([lib], [user], {"waiting"}) == dead
+    assert unreached_definitions([lib], [user]) == sorted(
+        dead + [("lib.py", 5, "spare"), ("lib.py", 35, "waiting")])
+    # waiting reaches spare, so spare cannot wait for a caller of its own
+    assert stale_entries([lib], [user], {"waiting", "spare", "gone", "called"}) == [
+        ("called", "reached"), ("gone", "gone"), ("spare", "reached"),
     ]
 
 

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,14 +9,10 @@ from alexlab.exceptions import (
     TriangleInequalityError,
 )
 from alexlab.model import (
-    bishop_gromov_profile,
     comparison_angle,
-    cone_ball_volume,
     generalized_sine,
     green_kernel,
     green_kernel_deriv,
-    model_ball_volume,
-    model_sphere_area,
 )
 
 
@@ -66,7 +61,8 @@ def test_green_kernel_has_unit_flux():
     # metric circle: circle length times phi_k'(r) is -1 for every k and r
     for k in (0.0, 1.0, -1.0, 4.0, -0.25):
         for r in (0.1, 0.7, 1.5):
-            assert model_sphere_area(k, r) * green_kernel_deriv(k, r) == pytest.approx(-1.0, rel=1e-14)
+            circle = math.tau * generalized_sine(k, r)
+            assert circle * green_kernel_deriv(k, r) == pytest.approx(-1.0, rel=1e-14)
 
 def test_green_kernel_monotone_for_nonpositive_k():
     for k in (0.0, -1.0):
@@ -86,47 +82,6 @@ def test_green_kernel_deriv_matches_finite_difference():
         r, dr = 0.9, 1e-6
         fd = (green_kernel(k, r + dr) - green_kernel(k, r - dr)) / (2 * dr)
         assert green_kernel_deriv(k, r) == pytest.approx(fd, rel=1e-5)
-
-
-def test_model_volumes_flat_2d():
-    assert model_sphere_area(0.0, 1.0) == pytest.approx(2 * math.pi, rel=1e-12)
-    assert model_ball_volume(0.0, 1.0) == pytest.approx(math.pi, rel=1e-12)
-
-
-def test_model_volumes_round_sphere():
-    # whole unit sphere: int_0^pi 2 pi sin t dt = 4 pi
-    assert model_ball_volume(1.0, math.pi) == pytest.approx(4 * math.pi, rel=1e-12)
-
-
-def test_model_volumes_curved_closed_form():
-    # hyperbolic plane: circle length 2 pi sinh r, disk area 2 pi (cosh r - 1)
-    for r in (0.3, 1.0, 2.2):
-        assert model_sphere_area(-1.0, r) == pytest.approx(math.tau * math.sinh(r), rel=1e-12)
-        assert model_ball_volume(-1.0, r) == pytest.approx(math.tau * (math.cosh(r) - 1.0), rel=1e-12)
-    # k = -1/4 is the hyperbolic plane scaled by 2: lengths double, areas quadruple
-    assert model_ball_volume(-0.25, 2.0) == pytest.approx(4 * model_ball_volume(-1.0, 1.0), rel=1e-12)
-    # k = 4 is the sphere of radius 1/2; its hemisphere has area 2 pi (1/2)^2
-    assert model_ball_volume(4.0, math.pi / 4) == pytest.approx(math.pi / 2, rel=1e-12)
-    assert model_sphere_area(4.0, math.pi / 4) == pytest.approx(math.pi, rel=1e-12)
-
-@given(
-    st.sampled_from([0.0, -1.0]),
-    st.floats(min_value=0.1, max_value=1.5),
-)
-def test_ball_volume_derivative_is_sphere_area(k, r):
-    # spec invariant: d/dr ball volume = sphere area, relative error < 1e-6
-    dr = 1e-5
-    fd = (model_ball_volume(k, r + dr) - model_ball_volume(k, r - dr)) / (2 * dr)
-    assert fd == pytest.approx(model_sphere_area(k, r), rel=1e-6)
-
-
-def test_cone_ball_volume():
-    theta = 3 * math.pi / 2
-    assert cone_ball_volume(theta, 0.0, 1.0) == pytest.approx(3 * math.pi / 4, rel=1e-12)
-    assert cone_ball_volume(2 * math.pi, 0.0, 1.3) == pytest.approx(math.pi * 1.69, rel=1e-12)
-    assert cone_ball_volume(math.pi, 0.0, 2.0) == pytest.approx(2 * math.pi, rel=1e-12)
-    with pytest.raises(DomainError):
-        cone_ball_volume(0.0, 0.0, 1.0)
 
 
 def test_comparison_angle_flat():
@@ -188,35 +143,8 @@ def test_spherical_angle_sum_at_least_pi(a, b, c):
     assert total >= math.pi - 1e-9
 
 
-def test_bishop_gromov_profile_flat_plane():
-    radii = np.linspace(0.1, 1.0, 10)
-    ratios, mono = bishop_gromov_profile([(r, math.pi * r**2) for r in radii], 0.0)
-    assert np.allclose(ratios, 1.0, atol=1e-12)
-    assert mono
-
-
-def test_bishop_gromov_profile_cone():
-    radii = np.linspace(0.1, 1.0, 10)
-    theta = 3 * math.pi / 2
-    ratios, mono = bishop_gromov_profile([(r, theta * r**2 / 2) for r in radii], 0.0)
-    assert np.allclose(ratios, 0.75, atol=1e-12)
-    assert mono
-
-
-def test_bishop_gromov_profile_detects_increase():
-    pairs = [(0.5, math.pi * 0.25), (1.0, 2 * math.pi)]  # ratio 1 then 2
-    ratios, mono = bishop_gromov_profile(pairs, 0.0)
-    assert not mono
-    with pytest.raises(DomainError):
-        bishop_gromov_profile([], 0.0)
-
-
 def test_model_params_validation():
     # a non-finite curvature bound is rejected by every kernel that takes k
-    for kernel in (green_kernel, green_kernel_deriv, model_sphere_area, model_ball_volume):
+    for kernel in (green_kernel, green_kernel_deriv):
         with pytest.raises(DomainError):
             kernel(math.inf, 1.0)
-    with pytest.raises(DomainError):
-        cone_ball_volume(math.pi, math.inf, 1.0)
-    with pytest.raises(DomainError):
-        bishop_gromov_profile([(1.0, 1.0)], math.inf)

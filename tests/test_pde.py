@@ -10,7 +10,6 @@ from alexlab import pde
 from alexlab.calculus import (
     PLFunction,
     assemble_operator,
-    hat_functions,
     interior_region_vertices,
 )
 from alexlab.exceptions import (
@@ -25,7 +24,6 @@ from alexlab.pde import (
     first_nonzero_eigenpair,
     harmonic_measure,
     hm_integrate,
-    solve_closed_harmonic,
     solve_poisson_dirichlet,
     supersolution_slack,
 )
@@ -49,7 +47,7 @@ def center_field(disk):
 
 
 def test_harmonic_solve_linear_exact(disk, op):
-    g = PLFunction.from_embedding(disk, lambda x, y: 1 + x)
+    g = PLFunction(disk, 1 + disk.embedding[:, 0])
     u = solve_poisson_dirichlet(disk, op, None, g, tol=1e-12)
     assert np.abs(u.values - g.values).max() <= 1e-8
 
@@ -61,13 +59,14 @@ def test_dirichlet_solve_rejects_a_tolerance_that_is_not_positive(disk, op, tol)
 
 
 def test_harmonic_solve_constant_exact(disk, op):
-    g = PLFunction.constant(disk, 4.2)
+    g = PLFunction(disk, np.full(disk.n_vertices, 4.2))
     u = solve_poisson_dirichlet(disk, op, None, g, tol=1e-12)
     assert np.abs(u.values - 4.2).max() <= 1e-10
 
 
 def test_poisson_quadratic(disk, op):
-    g = PLFunction.from_embedding(disk, lambda x, y: (x * x + y * y) / 2)
+    x, y = disk.embedding.T
+    g = PLFunction(disk, (x * x + y * y) / 2)
     u = solve_poisson_dirichlet(disk, op, 2.0, g, tol=1e-12)
     err = np.abs(u.values - g.values).max()
     assert err <= 5 * disk.mesh_h**2
@@ -75,7 +74,7 @@ def test_poisson_quadratic(disk, op):
 
 def test_solver_antisymmetry(disk, op):
     # solution with g = x is antisymmetric under x -> -x
-    g = PLFunction.from_embedding(disk, lambda x, y: x)
+    g = PLFunction(disk, disk.embedding[:, 0])
     u = solve_poisson_dirichlet(disk, op, None, g, tol=1e-12)
     xy = disk.embedding
     # pair each vertex with its reflection (the hex lattice and the rim are
@@ -87,8 +86,8 @@ def test_solver_antisymmetry(disk, op):
 
 
 def test_solution_monotone_in_boundary_data(disk, op):
-    g1 = PLFunction.from_embedding(disk, lambda x, y: x)
-    g2 = PLFunction.from_embedding(disk, lambda x, y: x + 0.3)
+    g1 = PLFunction(disk, disk.embedding[:, 0])
+    g2 = PLFunction(disk, disk.embedding[:, 0] + 0.3)
     u1 = solve_poisson_dirichlet(disk, op, None, g1, tol=1e-12)
     u2 = solve_poisson_dirichlet(disk, op, None, g2, tol=1e-12)
     assert np.all(u1.values <= u2.values + 1e-9)
@@ -126,7 +125,7 @@ def test_empty_boundary_error(disk, op):
 
 
 def test_maximum_principle_harmonic(disk, op, center_field):
-    g = PLFunction.from_embedding(disk, lambda x, y: 1 + x)
+    g = PLFunction(disk, 1 + disk.embedding[:, 0])
     u = solve_poisson_dirichlet(disk, op, None, g, tol=1e-12)
     rep = check_maximum_principle(disk, u, center_field.vertex_dist <= 0.8)
     assert rep.passed
@@ -134,7 +133,8 @@ def test_maximum_principle_harmonic(disk, op, center_field):
 
 
 def test_maximum_principle_subharmonic(disk, center_field):
-    u = PLFunction.from_embedding(disk, lambda x, y: -(x * x + y * y))
+    x, y = disk.embedding.T
+    u = PLFunction(disk, -(x * x + y * y))
     # -(x^2+y^2) is subharmonic's negative: its max sits at the center, so
     # the weak principle fails for it and passes for its negative
     rep = check_maximum_principle(disk, u, center_field.vertex_dist <= 0.8)
@@ -145,7 +145,7 @@ def test_maximum_principle_subharmonic(disk, center_field):
 
 
 def test_maximum_principle_constant_strong_form(disk, center_field):
-    u = PLFunction.constant(disk, 1.0)
+    u = PLFunction(disk, np.ones(disk.n_vertices))
     rep = check_maximum_principle(disk, u, center_field.vertex_dist <= 0.8)
     assert rep.passed
     assert rep.meta["strong_form_triggered"]
@@ -158,25 +158,30 @@ def test_maximum_principle_constant_strong_form(disk, center_field):
     lambda disk: (lambda v: True),
 ], ids=["short", "two_columns", "callable"])
 def test_region_mask_shape_is_checked(disk, region):
-    u = PLFunction.constant(disk, 1.0)
+    u = PLFunction(disk, np.ones(disk.n_vertices))
     with pytest.raises(DomainError):
         check_maximum_principle(disk, u, region(disk))
     with pytest.raises(DomainError):
         interior_region_vertices(disk, region(disk))
 
 
+def hats(space, region):
+    """One hat per vertex of the region whose edge star stays inside it."""
+    return [PLFunction(space, np.eye(1, space.n_vertices, i)[0])
+            for i in interior_region_vertices(space, region)]
+
+
 def test_supersolution_slack_solution_is_both(disk, op, center_field):
-    g = PLFunction.from_embedding(disk, lambda x, y: (x * x + y * y) / 2)
+    x, y = disk.embedding.T
+    g = PLFunction(disk, (x * x + y * y) / 2)
     u = solve_poisson_dirichlet(disk, op, 2.0, g, tol=1e-12)
-    hats = hat_functions(disk, center_field.vertex_dist <= 0.6)
-    slack = supersolution_slack(op, u, 2.0, hats)
+    slack = supersolution_slack(op, u, 2.0, hats(disk, center_field.vertex_dist <= 0.6))
     assert abs(slack) <= 1e-8
 
 
 def test_supersolution_slack_neg_dist_squared(disk, op, center_field):
     u = PLFunction(disk, -center_field.vertex_dist**2)
-    hats = hat_functions(disk, center_field.vertex_dist <= 0.6)
-    slack = supersolution_slack(op, u, -4.0, hats)
+    slack = supersolution_slack(op, u, -4.0, hats(disk, center_field.vertex_dist <= 0.6))
     assert slack >= -0.5 * disk.mesh_h
 
 
@@ -184,13 +189,12 @@ def test_supersolution_slack_log_kernel(disk, op, center_field):
     d = np.maximum(center_field.vertex_dist, 1e-9)
     u = PLFunction(disk, -np.log(d) / (2 * math.pi))
     ann = (center_field.vertex_dist >= 0.3) & (center_field.vertex_dist <= 0.7)
-    hats = hat_functions(disk, ann)
-    slack = supersolution_slack(op, u, 0.0, hats)
+    slack = supersolution_slack(op, u, 0.0, hats(disk, ann))
     assert slack >= -disk.mesh_h
 
 
 def test_supersolution_slack_empty_hats(disk, op):
-    u = PLFunction.constant(disk, 0.0)
+    u = PLFunction(disk, np.zeros(disk.n_vertices))
     with pytest.raises(DomainError):
         supersolution_slack(op, u, 0.0, [])
 
@@ -315,36 +319,16 @@ def test_first_eigenpair_needs_closed(disk, op):
         first_nonzero_eigenpair(disk, op)
 
 
-def test_closed_harmonic_is_constant_zero():
-    torus = flat_torus(1.0, 1 / 32)
-    top = assemble_operator(torus)
-    u = solve_closed_harmonic(torus, top)
-    assert np.abs(u.values).max() <= 1e-8
-
-
-def test_closed_solve_zero_mean_rhs():
-    torus = flat_torus(1.0, 1 / 16)
-    top = assemble_operator(torus)
-    xy = torus.embedding
-    f = np.sin(2 * math.pi * xy[:, 0])
-    f -= (top.masses @ f) / top.masses.sum()
-    u = solve_closed_harmonic(torus, top, f)
-    # discrete solvability: residual of K u = -M f away from zero modes
-    r = top.stiffness @ u.values + top.masses * f
-    assert np.linalg.norm(r) <= 1e-6 * np.linalg.norm(top.masses * f)
-    with pytest.raises(DomainError):
-        solve_closed_harmonic(torus, top, np.ones(torus.n_vertices))
-
-
 def test_harmonic_measure_probability(disk, op, center_field):
     hm = harmonic_measure(disk, op, 0, 0.5, 8, center_field)
-    one = PLFunction.constant(disk, 1.0)
+    one = PLFunction(disk, np.ones(disk.n_vertices))
     assert hm_integrate(hm, one) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_harmonic_measure_reproduces_harmonic_values(disk, op, center_field):
     hm = harmonic_measure(disk, op, 0, 0.5, 10, center_field)
-    phi = PLFunction.from_embedding(disk, lambda x, y: x * x - y * y + 5.0)
+    x, y = disk.embedding.T
+    phi = PLFunction(disk, x * x - y * y + 5.0)
     val = hm_integrate(hm, phi)
     assert val == pytest.approx(5.0, abs=5 * disk.mesh_h**2 + 1e-3)
     # mu(r) of harmonic data is near-constant in r
@@ -377,5 +361,5 @@ def test_harmonic_measure_ball_too_large(disk, op, center_field):
 
 def test_harmonic_measure_nonnegative_mu(disk, op, center_field):
     hm = harmonic_measure(disk, op, 0, 0.5, 8, center_field)
-    phi = PLFunction.from_embedding(disk, lambda x, y: abs(x) + 0.1)
+    phi = PLFunction(disk, abs(disk.embedding[:, 0]) + 0.1)
     assert np.all(hm.mu_samples(phi) >= 0)

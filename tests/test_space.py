@@ -22,7 +22,6 @@ from alexlab.exceptions import (
 from alexlab.model import comparison_angle
 from alexlab.space import (
     DistanceCache,
-    ball_volume,
     build_surface,
     cone_disk,
     distance_field,
@@ -62,7 +61,7 @@ def unit_square():
 def test_build_surface_square():
     surf = unit_square()
     assert surf.n_vertices == 4
-    assert surf.total_area == pytest.approx(1.0, abs=1e-12)
+    assert surf.face_area.sum() == pytest.approx(1.0, abs=1e-12)
     # all four vertices are on the boundary of the square
     assert surf.boundary_vertex.all()
     assert len(surf.singular_vertices) == 0
@@ -101,7 +100,7 @@ def test_cone_disk_roundtrip_apex_angle(tmp_path):
     cone = cone_disk(theta, 1.0, 0.05)
     assert cone.cone_angle[0] == pytest.approx(theta, abs=1e-9)
     assert 0 in cone.singular_vertices
-    assert cone.total_area == pytest.approx(theta / 2, rel=0.02)
+    assert cone.face_area.sum() == pytest.approx(theta / 2, rel=0.02)
     # re-ingest through the mesh format
     path = tmp_path / "cone.off"
     save_off(cone, path)
@@ -112,7 +111,7 @@ def test_cone_disk_roundtrip_apex_angle(tmp_path):
 
 def test_flat_disk_area_and_regularity():
     disk = flat_disk(1.0, 0.1)
-    assert disk.total_area == pytest.approx(math.pi, rel=0.02)
+    assert disk.face_area.sum() == pytest.approx(math.pi, rel=0.02)
     # spec invariant: generated flat meshes have empty singular set
     assert len(disk.singular_vertices) == 0
     interior = ~disk.boundary_vertex
@@ -175,7 +174,7 @@ def test_flat_disk_is_delaunay_and_matches_qhull(R, h):
 
 def test_icosphere_area_and_gauss_bonnet():
     ico = icosphere(3)
-    assert ico.total_area == pytest.approx(4 * math.pi, rel=0.01)
+    assert ico.face_area.sum() == pytest.approx(4 * math.pi, rel=0.01)
     assert ico.is_closed
     # spec invariant: discrete Gauss-Bonnet, exact to 1e-8
     defect = np.sum(2 * math.pi - ico.cone_angle)
@@ -189,7 +188,7 @@ def test_flat_torus_gauss_bonnet_and_closedness():
     assert torus.euler_characteristic() == 0
     defect = np.sum(2 * math.pi - torus.cone_angle)
     assert abs(defect) < 1e-8
-    assert torus.total_area == pytest.approx(1.0, abs=1e-12)
+    assert torus.face_area.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_generator_parameter_validation():
@@ -240,8 +239,8 @@ def test_distance_field_symmetry():
     for a, b in pairs:
         if a == b:
             continue
-        ab = cache.field(int(a)).distance_to(int(b))
-        ba = cache.field(int(b)).distance_to(int(a))
+        ab = cache.field(int(a)).node_dist[b]
+        ba = cache.field(int(b)).node_dist[a]
         assert abs(ab - ba) <= 1e-9
 
 
@@ -263,7 +262,7 @@ def test_trace_shortest_path_consistency():
     target = int(np.flatnonzero(disk.boundary_vertex)[0])
     nodes, arcs = trace_shortest_path(fld, target)
     assert nodes[0] == 0 and nodes[-1] == target
-    assert arcs[-1] == pytest.approx(fld.distance_to(target), abs=1e-12)
+    assert arcs[-1] == pytest.approx(fld.node_dist[target], abs=1e-12)
     assert np.all(np.diff(arcs) > 0)
     # source -> source is the trivial path
     nodes0, arcs0 = trace_shortest_path(fld, 0)
@@ -277,14 +276,6 @@ def non_vertices():
     V = disk.n_vertices
     assert disk.graph(0.1).n_nodes > V + 2
     return disk, (-1, V, V + 2)
-
-
-def test_distance_to_rejects_non_vertices():
-    disk, bad = non_vertices()
-    fld = distance_field(disk, 0, 0.1)
-    for v in bad:
-        with pytest.raises(DomainError, match="out of range"):
-            fld.distance_to(v)
 
 
 def test_trace_shortest_path_rejects_non_vertices():
@@ -308,9 +299,9 @@ def test_trace_path_cone_unrolling_bound():
     dphi = min(abs(phis[rim == b][0] - phis[rim == a][0]),
                theta - abs(phis[rim == b][0] - phis[rim == a][0]))
     chord = math.sqrt(2 - 2 * math.cos(dphi))
-    assert fld.distance_to(b) <= chord * 1.05
+    assert fld.node_dist[b] <= chord * 1.05
     # going through the apex is never shorter than the unrolled chord here
-    assert fld.distance_to(b) <= 2.0
+    assert fld.node_dist[b] <= 2.0
 
 
 def test_initial_direction_flat_embedding_azimuth():
@@ -545,19 +536,6 @@ def test_toponogov_saddle_vertex_fails_kappa0():
     assert not ok
 
 
-def test_ball_volume_flat_disk():
-    disk = flat_disk(1.0, 0.05)
-    fld = distance_field(disk, 0, 0.01)
-    for r in (0.3, 0.5, 0.7):
-        assert ball_volume(disk, fld, r) == pytest.approx(math.pi * r * r, rel=0.02)
-
-
-def test_ball_volume_rejects_nan_radius():
-    disk = flat_disk(1.0, 0.2)
-    with pytest.raises(DomainError):
-        ball_volume(disk, distance_field(disk, 0, 0.1), math.nan)
-
-
 @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -0.1])
 def test_steiner_spacing_must_be_finite_and_positive(h):
     disk = flat_disk(1.0, 0.2)
@@ -574,7 +552,7 @@ def test_off_roundtrip_flat(tmp_path):
     back = load_off(path)
     assert back.n_vertices == disk.n_vertices
     assert back.n_faces == disk.n_faces
-    assert back.total_area == pytest.approx(disk.total_area, rel=1e-12)
+    assert back.face_area.sum() == pytest.approx(disk.face_area.sum(), rel=1e-12)
 
 
 def line_save_off(space, path):
@@ -668,7 +646,7 @@ def test_unreachable_error():
     with pytest.raises(UnreachableError):
         # out-of-range vertex id handled upstream; emulate unreachable via inf
         fld.node_dist[1] = np.inf
-        fld.distance_to(1)
+        trace_shortest_path(fld, 1)
 
 
 def unit_edges(faces):
