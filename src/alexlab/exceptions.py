@@ -30,7 +30,8 @@ class UnreachableError(AlexlabError):
 
 
 class SolverDivergedError(AlexlabError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
+    """A solve failed: an iteration cap was hit before the tolerance, a
+    factorization broke down, or a residual came out above the tolerance."""
 
 
 class EmptyBoundaryError(AlexlabError):

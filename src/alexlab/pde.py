@@ -1,21 +1,22 @@
 """Poisson/Dirichlet solving, maximum principles, eigenpairs, harmonic measure.
 
-The Dirichlet problem L_u = f vol with u = g on the boundary is solved by
-minimizing the energy of the reduced symmetric positive-definite system
-with conjugate gradients.  Sign convention: L_u(phi) = -E(u, phi), so the
-solution satisfies E(u, phi) = -int(f phi) for interior hats and the flat
-model equation reads  Delta u = f.
+The Dirichlet problem L_u = f vol with u = g on the boundary reduces to a
+symmetric positive-definite system on the interior nodes, solved directly
+by a banded Cholesky factor in reverse Cuthill-McKee order; the shifted
+eigen system is factored the same way.  Sign convention: L_u(phi) =
+-E(u, phi), so the solution satisfies E(u, phi) = -int(f phi) for
+interior hats and the flat model equation reads  Delta u = f.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
 from scipy.sparse import csgraph
-from scipy.sparse import linalg as sla
 
 from .calculus import (
     DirichletOperator,
@@ -36,8 +37,6 @@ from .model import generalized_sine
 from .report import ExperimentReport, make_report
 from .space import ConeSurface, DistanceField
 
-CG_ITER_FACTOR = 50  # iteration cap is 50 * sqrt(unknown count)
-
 
 def _as_values(space, data, name):
     if data is None:
@@ -53,20 +52,47 @@ def _as_values(space, data, name):
     return arr
 
 
-def _cg(mat, rhs, tol, cap):
-    sol, info = sla.cg(mat, rhs, rtol=tol, atol=0.0, maxiter=cap)
-    if info > 0:
-        # one retry with a Jacobi preconditioner before giving up
-        d = mat.diagonal()
-        precond = sla.LinearOperator(mat.shape, lambda v: v / d)
-        sol, info = sla.cg(mat, rhs, rtol=tol, atol=0.0, maxiter=cap, M=precond)
-        if info > 0:
-            raise SolverDivergedError(
-                f"conjugate gradients hit the iteration cap {cap}"
-            )
-    if info < 0:
-        raise SolverDivergedError("conjugate gradients reported invalid input")
-    return sol
+def _check_operator(space, op):
+    if op.surface is not space:
+        raise DomainError("operator is assembled on a different surface")
+
+
+def _check_count(name, value, least):
+    if not isinstance(value, Integral) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _banded_cholesky(mat):
+    """Factor a symmetric positive-definite CSR matrix, with one stored
+    entry per position; return its solve.
+
+    Reverse Cuthill-McKee narrows the band, whose lower half is stored in
+    Fortran order so LAPACK's banded Cholesky factors it in place.  A
+    factor that breaks down (mat not positive definite) raises
+    SolverDivergedError.
+    """
+    perm = csgraph.reverse_cuthill_mckee(mat, symmetric_mode=True)
+    rank = np.empty_like(perm)
+    rank[perm] = np.arange(len(perm))
+    entries = mat.tocoo()
+    row, col = rank[entries.row], rank[entries.col]
+    lower = row >= col
+    offset, col = row[lower] - col[lower], col[lower]
+    band = np.zeros((offset.max(initial=0) + 1, mat.shape[0]), order="F")
+    band[offset, col] = entries.data[lower]
+    try:
+        factor = linalg.cholesky_banded(band, lower=True, overwrite_ab=True,
+                                        check_finite=False)
+    except linalg.LinAlgError as exc:
+        raise SolverDivergedError(f"banded Cholesky broke down: {exc}") from exc
+
+    def solve(b):
+        out = np.empty_like(b)
+        out[perm] = linalg.cho_solve_banded((factor, True), b[perm], overwrite_b=True,
+                                            check_finite=False)
+        return out
+
+    return solve
 
 
 def solve_poisson_dirichlet(space: ConeSurface, op: DirichletOperator, f, g,
@@ -75,29 +101,39 @@ def solve_poisson_dirichlet(space: ConeSurface, op: DirichletOperator, f, g,
     """Solve L_u = f vol with Dirichlet data g on the boundary nodes.
 
     f and g may be PLFunctions, scalars, or per-vertex arrays (f = None
-    means the harmonic case).  boundary_mask, one entry per vertex,
-    overrides the surface boundary to solve on sub-regions.  Conjugate
-    gradients run to relative residual `tol`, finite and positive, with cap
-    50 sqrt(n).
+    means the harmonic case); the values read, f inside and g on the
+    boundary, must be finite.  boundary_mask, one entry per vertex,
+    overrides the surface boundary to solve on sub-regions.  The reduced
+    system K_ii u_i = rhs is solved directly, and SolverDivergedError is
+    raised when its residual ||K_ii u_i - rhs|| exceeds tol ||rhs||, tol
+    finite and positive.
     """
     if not 0 < tol < math.inf:
         raise DomainError(f"tol must be finite and positive, got {tol}")
+    _check_operator(space, op)
     bmask = op.boundary if boundary_mask is None else _region_mask(space, boundary_mask)
     if not bmask.any():
         raise EmptyBoundaryError("Dirichlet solve needs a nonempty boundary set")
     fv = _as_values(space, f, "f")
     gv = _as_values(space, g, "g")
+    inter = ~bmask
+    if not (np.isfinite(fv[inter]).all() and np.isfinite(gv[bmask]).all()):
+        raise DomainError("f inside and g on the boundary must be finite")
     K = op.stiffness
     M = op.masses
-    inter = ~bmask
     u = gv.copy()
     if inter.any():
         Kii = K[inter][:, inter]
         # K applied to g with its interior entries zeroed is K_ib g_b: the
         # extra terms are exact zeros in the same column order
         rhs = -(M[inter] * fv[inter]) - (K @ np.where(bmask, gv, 0.0))[inter]
-        cap = max(100, int(CG_ITER_FACTOR * math.sqrt(int(inter.sum()))))
-        u[inter] = _cg(Kii.tocsr(), rhs, tol, cap)
+        x = _banded_cholesky(Kii)(rhs)
+        resid = np.linalg.norm(Kii @ x - rhs)
+        if resid > tol * np.linalg.norm(rhs):
+            raise SolverDivergedError(
+                f"Dirichlet residual {resid:.3g} exceeds tol {tol} times the rhs norm"
+            )
+        u[inter] = x
     return PLFunction(space, u)
 
 
@@ -171,32 +207,21 @@ def first_nonzero_eigenpair(space: ConeSurface, op: DirichletOperator,
     max_iter caps the solves, and so the basis, which holds up to
     min(max_iter, V) vectors of V floats.
 
-    K + sigma M is factored once, in a reverse Cuthill-McKee order refined
-    by SuperLU's minimum degree on A^T + A, in symmetric mode with no
-    pivoting.  That is stable because the matrix is symmetric positive
-    definite: the cotan energy of a PL interpolant is >= 0 even where
-    weights are negative, and sigma M > 0.  Reverse Cuthill-McKee runs
-    first because it depends on the graph alone, while minimum degree on
-    some input numberings (the icosphere's) fills in badly.
+    K + sigma M is factored once by a banded Cholesky in reverse
+    Cuthill-McKee order, which needs no pivoting because the matrix is
+    symmetric positive definite: the cotan energy of a PL interpolant is
+    >= 0 even where weights are negative, and sigma M > 0.
     """
     if not 0 < tol < math.inf:
         raise DomainError(f"tol must be finite and positive, got {tol}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
+    _check_count("max_iter", max_iter, 1)
+    _check_operator(space, op)
     if not space.is_closed:
         raise NotClosedError("first eigenpair needs a closed surface")
     K = op.stiffness
     M = op.masses
     sigma = 1e-8 * K.diagonal().sum() / space.n_vertices
-    shifted = K + sigma * sparse.diags(M)
-    perm = csgraph.reverse_cuthill_mckee(shifted, symmetric_mode=True)
-    lu = sla.splu(shifted[perm][:, perm].tocsc(), permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-
-    def solve(b):
-        out = np.empty_like(b)
-        out[perm] = lu.solve(b[perm])
-        return out
+    solve = _banded_cholesky(K + sigma * sparse.diags(M))
 
     total_mass = M.sum()
 
@@ -274,8 +299,8 @@ def harmonic_measure(space: ConeSurface, op: DirichletOperator, p: int,
     Each ball is the node sub-mesh {dist <= r}; the measure weights are
     s_k^{n-1}(r) with k the surface's declared curvature bound (n = 2).
     """
-    if m < 8:
-        raise DomainError("harmonic measure grid needs m >= 8")
+    _check_count("m", m, 8)
+    _check_operator(space, op)
     if dist_field.source != p:
         raise DomainError("distance field must be centered at p")
     d = dist_field.vertex_dist

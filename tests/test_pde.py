@@ -100,12 +100,18 @@ def test_dirichlet_rhs_matches_boundary_slice(name, tmp_path, monkeypatch):
     V = surf.n_vertices
     rng = np.random.default_rng(31)
     seen = []
+    factor = pde._banded_cholesky
 
-    def record_rhs(mat, rhs, tol, cap):
-        seen.append(rhs)
-        return np.zeros(len(rhs))
+    def record_rhs(mat):
+        solve = factor(mat)
 
-    monkeypatch.setattr(pde, "_cg", record_rhs)
+        def record(rhs):
+            seen.append(rhs)
+            return solve(rhs)
+
+        return record
+
+    monkeypatch.setattr(pde, "_banded_cholesky", record_rhs)
     for bmask in (sop.boundary | (rng.random(V) < 0.1), rng.random(V) < 0.4):
         f = rng.standard_normal(V)
         g = rng.standard_normal(V) * 10.0 ** rng.uniform(-3, 3, V)
@@ -115,6 +121,48 @@ def test_dirichlet_rhs_matches_boundary_slice(name, tmp_path, monkeypatch):
         Kib = sop.stiffness[inter][:, bmask]
         ref = -(sop.masses[inter] * f[inter]) - Kib @ g[bmask]
         np.testing.assert_array_equal(seen.pop(), ref)
+
+
+def test_dirichlet_solve_matches_dense_reference():
+    surf = flat_disk(1.0, 0.2)
+    sop = assemble_operator(surf)
+    V = surf.n_vertices
+    rng = np.random.default_rng(7)
+    bmask = rng.random(V) < 0.3
+    f, g = rng.standard_normal(V), rng.standard_normal(V)
+    u = solve_poisson_dirichlet(surf, sop, f, g, tol=1e-12, boundary_mask=bmask)
+    inter = ~bmask
+    K = sop.stiffness.toarray()
+    rhs = -(sop.masses[inter] * f[inter]) - K[np.ix_(inter, bmask)] @ g[bmask]
+    ref = np.linalg.solve(K[np.ix_(inter, inter)], rhs)
+    np.testing.assert_allclose(u.values[inter], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    np.testing.assert_array_equal(u.values[bmask], g[bmask])
+
+
+def test_dirichlet_solve_ignores_the_values_it_does_not_read(disk, op):
+    # f on the boundary and g inside may be NaN: the solve never reads them
+    x, y = disk.embedding.T
+    f, g = np.where(op.boundary, math.nan, 2.0), np.where(op.boundary, x * y, math.inf)
+    u = solve_poisson_dirichlet(disk, op, f, g)
+    ref = solve_poisson_dirichlet(disk, op, 2.0, x * y)
+    np.testing.assert_array_equal(u.values, ref.values)
+
+
+def test_dirichlet_residual_above_tol_diverges(disk, op):
+    # tol bounds the residual of the direct solve, which rounding keeps
+    # above 1e-30 of the rhs
+    with pytest.raises(SolverDivergedError):
+        solve_poisson_dirichlet(disk, op, None, disk.embedding[:, 0] ** 2, tol=1e-30)
+
+
+def test_factor_of_a_matrix_that_is_not_positive_definite_diverges():
+    # a path graph Laplacian with one diagonal entry made negative
+    n = 6
+    mat = sparse.diags([-np.ones(n - 1), np.full(n, 2.0), -np.ones(n - 1)], [-1, 0, 1],
+                       format="lil")
+    mat[3, 3] = -1.0
+    with pytest.raises(SolverDivergedError):
+        pde._banded_cholesky(mat.tocsr())
 
 
 def test_empty_boundary_error(disk, op):
@@ -276,9 +324,8 @@ def test_first_eigenpair_resolves_a_nearly_double_eigenvalue(squash):
 
 
 def test_first_eigenvalue_does_not_depend_on_vertex_numbering():
-    # the factor order starts from reverse Cuthill-McKee because minimum
-    # degree alone fills in badly on some numberings; the eigenvalue must
-    # not see the numbering at all
+    # reverse Cuthill-McKee breaks ties by vertex id, so the factor's
+    # rounding follows the numbering; the eigenvalue must not see it
     ico = icosphere(3)
     perm = np.random.default_rng(17).permutation(ico.n_vertices)  # old id -> new id
     verts = ico.embedding[np.argsort(perm)]
@@ -309,7 +356,7 @@ def test_first_eigenpair_rejects_bad_tol_and_max_iter(monkeypatch, kwargs):
     def no_factor(*args, **kw):
         raise AssertionError("factored before checking the arguments")
 
-    monkeypatch.setattr(pde.sla, "splu", no_factor)
+    monkeypatch.setattr(pde, "_banded_cholesky", no_factor)
     with pytest.raises(DomainError):
         first_nonzero_eigenpair(torus, op, **kwargs)
 
