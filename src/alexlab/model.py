@@ -104,14 +104,17 @@ def comparison_angle(k: float, opp: float, s1: float, s2: float) -> float:
     """Angle opposite `opp` in the curvature-k model triangle (s1, s2, opp).
 
     Uses the flat, spherical, or hyperbolic cosine law.  Raises
-    TriangleInequalityError when no such triangle exists, beyond a
-    rounding slack of TRIANGLE_SLACK_ULPS ulps of the largest side, and
-    PerimeterTooLargeError when k > 0 and opp+s1+s2 >= 2 pi/sqrt(k).
+    DomainError for a k or a side that is NaN or infinite, or a side out
+    of range, TriangleInequalityError when no such triangle exists,
+    beyond a rounding slack of TRIANGLE_SLACK_ULPS ulps of the largest
+    side, and PerimeterTooLargeError when k > 0 and
+    opp+s1+s2 >= 2 pi/sqrt(k).
     """
-    if s1 <= 0 or s2 <= 0:
-        raise DomainError(f"side lengths must be positive, got s1={s1}, s2={s2}")
-    if opp < 0:
-        raise DomainError(f"opposite side must be nonnegative, got {opp}")
+    _check_k(k)
+    if not (0 < s1 < math.inf and 0 < s2 < math.inf):
+        raise DomainError(f"side lengths must be finite and positive, got s1={s1}, s2={s2}")
+    if not 0 <= opp < math.inf:
+        raise DomainError(f"opposite side must be finite and nonnegative, got {opp}")
     slack = TRIANGLE_SLACK_ULPS * math.ulp(max(opp, s1, s2))
     if opp > s1 + s2 + slack or opp < abs(s1 - s2) - slack:
         raise TriangleInequalityError(

@@ -195,16 +195,7 @@ class ConeSurface:
     def charts(self) -> np.ndarray:
         """Per-face 2D coordinates (F, 3, 2) laid out from side lengths."""
         if self._charts is None:
-            l0 = self.face_side_len[:, 0]
-            l1 = self.face_side_len[:, 1]
-            l2 = self.face_side_len[:, 2]
-            x2 = (l2**2 + l1**2 - l0**2) / (2 * l2)
-            y2 = np.sqrt(np.maximum(l1**2 - x2**2, 0.0))
-            ch = np.zeros((self.n_faces, 3, 2))
-            ch[:, 1, 0] = l2
-            ch[:, 2, 0] = x2
-            ch[:, 2, 1] = y2
-            self._charts = ch
+            self._charts = _face_charts(self.face_side_len)
         return self._charts
 
     def vertex_masses(self) -> np.ndarray:
@@ -223,6 +214,19 @@ class ConeSurface:
 
     def euler_characteristic(self) -> int:
         return self.n_vertices - len(self.edges) + self.n_faces
+
+
+def _face_charts(side_len):
+    """2D coordinates (F, 3, 2) of the corners of faces with side lengths
+    `side_len` (F, 3): corner 0 at the origin, corner 1 on the x axis."""
+    l0, l1, l2 = side_len.T
+    x2 = (l2**2 + l1**2 - l0**2) / (2 * l2)
+    y2 = np.sqrt(np.maximum(l1**2 - x2**2, 0.0))
+    ch = np.zeros((len(side_len), 3, 2))
+    ch[:, 1, 0] = l2
+    ch[:, 2, 0] = x2
+    ch[:, 2, 1] = y2
+    return ch
 
 
 def _angle_from_sides(opp, a, b):
@@ -631,19 +635,24 @@ class _SteinerGraph:
     arc is a path on the surface, so graph distances bound geodesic
     distances from above.
 
-    Build.  Each along-edge segment and each pair of nodes on two sides
-    of a face is a record: a node pair (int32 ids) with a length.  Only
-    the records that can repeat go through a min-reduction, by one sort of
-    their keys: the segments and every record with a vertex endpoint (a
-    pair along an edge is met from both faces on it and from its segments;
-    a corner meets the opposite side's nodes from two side pairs of its
-    face).  A pair of Steiner points on two sides of a face occurs once,
-    unless another face has the same three vertices; only such faces send
-    those pairs to the reduction.  The distinct pairs, smaller id first,
-    are the upper triangle U, which the CSR conversion sorts per row, and
-    the matrix is U + U.T: exactly symmetric.  Faces are grouped by their
-    triple of per-side node counts, so each group's node positions and
-    cross-side distances are broadcast array operations.
+    Build.  Each arc is made once, as a node pair (int32 ids, smaller
+    first) with its length; duplicates are reduced where they arise:
+    - a pair on one mesh edge with a vertex end (a vertex and a node of
+      its edge, or the edge's two ends) is met from its segment and from
+      every face on the edge; its length is the minimum over a table with
+      one slot per such pair, filled by ``np.minimum.at``;
+    - a corner and a Steiner point of the opposite side are met from the
+      two sides at the corner, whose chart points for it may differ in the
+      last bit; the face group takes their elementwise minimum;
+    - a pair of Steiner points on two sides of a face is met once, unless
+      another face has the same three vertices; only such twin faces send
+      their Steiner pairs, and their corner-Steiner pairs, through a sort.
+    The distinct pairs are the upper triangle U of the matrix, which is
+    U + U.T, exactly symmetric (see :func:`_symmetric_csr`).  A face
+    visits its sides in ascending node count, so faces whose counts agree
+    up to order form one group, whose node positions and cross-side
+    distances are broadcast array operations; each face keeps its chart,
+    so the order of its sides changes no length.
     """
 
     def __init__(self, surf: ConeSurface, h: float):
@@ -658,79 +667,12 @@ class _SteinerGraph:
         first = V + np.cumsum(m) - m  # id of each edge's first Steiner point
         n = self.n_nodes = V + int(m.sum())
         self.steiner_edge = np.repeat(np.arange(len(edges)), m)
-        node = np.arange(V, n)
-        k = node - first[self.steiner_edge] + 1
+        k = np.arange(V, n) - first[self.steiner_edge] + 1
         self.steiner_frac = k * (1.0 / (m + 1))[self.steiner_edge]
-
-        # along-edge segments: i -> first, ..., last -> j
-        seg = L / (m + 1)
-        prev = np.where(k == 1, edges[self.steiner_edge, 0], node - 1)
-        last = np.where(m > 0, first + m - 1, edges[:, 0])
-        again = _Records()  # records that can repeat
-        once = _Records()   # records that cannot
-        again.add(prev, node, seg[self.steiner_edge])
-        again.add(last, edges[:, 1], seg)
-
-        # per face side: its edge, node count, and the corners at the
-        # edge's smaller and larger endpoint
-        faces, fe = surf.faces, surf.face_edge
-        nxt = (np.arange(3) + 1) % 3
-        lo_first = faces[:, nxt] == edges[fe, 0]
-        lo_corner = np.where(lo_first, nxt, (nxt + 1) % 3)
-        hi_corner = np.where(lo_first, (nxt + 1) % 3, nxt)
-        side_nodes = m[fe] + 2
-        charts = surf.charts()
-        # two faces on one edge with the same three vertices share every
-        # side, so they meet each of their Steiner-Steiner pairs twice
-        two = surf.edge_faces[surf.edge_faces[:, 1] >= 0]
-        twin = np.all(np.sort(faces[two[:, 0]], axis=1) == np.sort(faces[two[:, 1]], axis=1),
-                      axis=1)
-        doubled = np.zeros(len(faces), dtype=bool)
-        doubled[two[twin].ravel()] = True
-        # one integer key per face, ordered as its count triple is
-        base = int(side_nodes.max()) + 1
-        key = (side_nodes[:, 0] * base + side_nodes[:, 1]) * base + side_nodes[:, 2]
-        order = np.argsort(key, kind="stable")
-        starts = np.flatnonzero(np.diff(key[order])) + 1
-        for fs in np.split(order, starts):
-            ids, xs, ys = [], [], []
-            for s in range(3):
-                ns = int(side_nodes[fs[0], s])
-                e = fe[fs, s]
-                p = charts[fs, lo_corner[fs, s]]
-                q = charts[fs, hi_corner[fs, s]]
-                fr = np.linspace(0.0, 1.0, ns)
-                # chart points of the side's nodes, one axis at a time
-                xs.append(p[:, None, 0] + fr[None, :] * (q - p)[:, None, 0])
-                ys.append(p[:, None, 1] + fr[None, :] * (q - p)[:, None, 1])
-                ids.append(np.c_[edges[e, 0], first[e][:, None] + np.arange(ns - 2),
-                                 edges[e, 1]].astype(np.int32))
-            twins = doubled[fs]
-            for s, t in ((0, 1), (0, 2), (1, 2)):
-                # the norm of each chart difference, summed as np.linalg.norm does
-                d = xs[s][:, :, None] - xs[t][:, None, :]
-                d *= d
-                dy = ys[s][:, :, None] - ys[t][:, None, :]
-                dy *= dy
-                d += dy
-                del dy
-                np.sqrt(d, out=d)
-                u, v = ids[s][:, :, None], ids[t][:, None, :]
-                frame = np.ones(d.shape[1:], dtype=bool)
-                frame[1:-1, 1:-1] = False
-                uu = np.broadcast_to(u, d.shape)[:, frame]
-                vv = np.broadcast_to(v, d.shape)[:, frame]
-                keep = uu != vv  # the corner the two sides share
-                again.add(uu[keep], vv[keep], d[:, frame][keep])
-                # Steiner-Steiner pairs
-                u, v, d = u[:, 1:-1], v[:, :, 1:-1], d[:, 1:-1, 1:-1]
-                if twins.any():
-                    again.add(u[twins], v[twins], d[twins])
-                    u, v, d = u[~twins], v[~twins], d[~twins]
-                once.add(u, v, d)
-        once.add(*again.min_reduced(n))
-        upper = once.upper(n)
-        self.matrix = upper + upper.T
+        del k
+        pairs = _arc_pairs(surf, m, first, self.steiner_edge)
+        del m, first
+        self.matrix = _symmetric_csr(pairs, n)
 
     def node_values(self, vertex_values: np.ndarray) -> np.ndarray:
         """PL interpolation of a vertex function onto all graph nodes."""
@@ -741,50 +683,191 @@ class _SteinerGraph:
         return np.concatenate([vertex_values, interp])
 
 
-class _Records:
-    """Node pairs (int32, smaller id first) with their lengths, in chunks."""
+def _arc_pairs(surf: ConeSurface, m, first, steiner_edge):
+    """The arcs of the Steiner graph (see _SteinerGraph), each made once:
+    (lo, hi, val) lists of chunks of int32 node ids, smaller first, and
+    lengths."""
+    edges, L = surf.edges, surf.edge_lengths
+    V = surf.n_vertices
+    n = V + len(steiner_edge)
+    node = np.arange(V, n)
+    pairs = [], [], []  # (lo, hi, val) chunks of the pairs made once
+    twin_pairs = []     # pairs of twin faces, made twice
+    # shortest length so far of each pair on one edge with a vertex end:
+    # (lower end, node) at 2 (node - V), (node, upper end) at
+    # 2 (node - V) + 1, and the ends of edge e at 2 (n - V) + e
+    near = np.full(2 * (n - V) + len(edges), np.inf)
+    ends = 2 * (n - V)
+    # along-edge segments
+    seg = L / (m + 1)
+    steps = m > 0
+    near[2 * (first[steps] - V)] = seg[steps]
+    near[2 * (first[steps] + m[steps] - 1 - V) + 1] = seg[steps]
+    near[ends + np.flatnonzero(~steps)] = seg[~steps]
+    # segments between two Steiner points: consecutive ids on one edge
+    inner = np.flatnonzero(steiner_edge[1:] == steiner_edge[:-1])
+    _add_pairs(pairs, node[inner], node[inner] + 1, seg[steiner_edge[inner]])
+    # the dels in this function drop per-edge and per-face arrays once
+    # used: at spacing mesh_h they weigh about as much as the CSR
+    del steps, inner
 
-    def __init__(self):
-        self.lo, self.hi, self.val = [], [], []
+    faces, fe = surf.faces, surf.face_edge
+    # two faces on one edge with the same three vertices share every side,
+    # so they meet each of their Steiner-Steiner pairs twice; on a shared
+    # edge, they are the faces whose corners opposite it agree
+    two = surf.edge_sides[surf.edge_sides[:, 1] >= 0]
+    twin = two[faces.ravel()[two[:, 0]] == faces.ravel()[two[:, 1]]]
+    doubled = np.zeros(len(faces), dtype=bool)
+    doubled[twin.ravel() // 3] = True
+    del two, twin
+    # each face visits its sides by ascending node count, in one group
+    # per count triple
+    side_nodes = m[fe] + 2
+    turn = np.argsort(side_nodes, axis=1, kind="stable").astype(np.int8)
+    side_nodes.sort(axis=1)
+    base = int(side_nodes.max()) + 1
+    key = (side_nodes[:, 0] * base + side_nodes[:, 1]) * base + side_nodes[:, 2]
+    del side_nodes
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order])) + 1
+    del key
 
-    def add(self, u, v, val) -> None:
-        """Records of the node pairs (u, v), broadcast together, and lengths val."""
-        self.lo.append(np.minimum(u, v, dtype=np.int32).ravel())
-        self.hi.append(np.maximum(u, v, dtype=np.int32).ravel())
-        self.val.append(np.ravel(val))
+    def add(u, v, d, twins):
+        """Pairs (u, v) of the group's faces; those of twin faces wait."""
+        if not twins.any():
+            _add_pairs(pairs, u, v, d)
+            return
+        u, v = np.broadcast_arrays(u, v)
+        _add_pairs(pairs, u[~twins], v[~twins], d[~twins])
+        twin_pairs.append((u[twins], v[twins], d[twins]))
 
-    def _joined(self, name, dtype=None):
-        """One column as one array; its chunks are dropped."""
-        chunks = getattr(self, name)
-        setattr(self, name, None)
-        return np.concatenate(chunks, dtype=dtype)
+    for fs in np.split(order, starts):
+        at = np.arange(len(fs))
+        tf = turn[fs]
+        sides = fe[fs[:, None], tf]
+        charts = _face_charts(surf.face_side_len[fs])
+        # side s runs from corner s + 1 to corner s + 2 (mod 3); its chart
+        # points are laid out from the edge's lower end and then reversed
+        # where that end is corner s + 2
+        xs, ys, ids, rev = [], [], [], []
+        for s in range(3):
+            e = sides[:, s]
+            ahead, behind = tf[:, (s + 1) % 3], tf[:, (s + 2) % 3]
+            back = faces[fs, ahead] != edges[e, 0]
+            p = charts[at, np.where(back, behind, ahead)]
+            q = charts[at, np.where(back, ahead, behind)]
+            fr = np.linspace(0.0, 1.0, int(m[e[0]]) + 2)
+            x = p[:, None, 0] + fr[None, :] * (q - p)[:, None, 0]
+            y = p[:, None, 1] + fr[None, :] * (q - p)[:, None, 1]
+            nid = np.c_[edges[e, 0], first[e][:, None] + np.arange(len(fr) - 2),
+                        edges[e, 1]].astype(np.int32)
+            for arr in (x, y, nid):
+                arr[back] = arr[back, ::-1]
+            xs.append(x)
+            ys.append(y)
+            ids.append(nid)
+            rev.append(back[:, None])
+        del charts
+        twins = doubled[fs]
+        for s in range(3):
+            # Steiner points of side s with those of the sides after it
+            for t in range(s + 1, 3):
+                add(ids[s][:, 1:-1, None], ids[t][:, None, 1:-1],
+                    _chart_dist(xs[s][:, 1:-1, None], ys[s][:, 1:-1, None],
+                                xs[t][:, None, 1:-1], ys[t][:, None, 1:-1]), twins)
+            # corner s with the Steiner points of side s, from side s + 2,
+            # where it comes first, and from side s + 1, where it is last
+            a, b = (s + 2) % 3, (s + 1) % 3
+            x, y = xs[s][:, 1:-1], ys[s][:, 1:-1]
+            add(ids[a][:, :1], ids[s][:, 1:-1],
+                np.minimum(_chart_dist(xs[a][:, :1], ys[a][:, :1], x, y),
+                           _chart_dist(xs[b][:, -1:], ys[b][:, -1:], x, y)), twins)
+            # the Steiner points of side s with its ends, each seen from
+            # the third side at that end
+            slot = 2 * (ids[s][:, 1:-1] - V)
+            np.minimum.at(near, (slot + rev[s]).ravel(),
+                          _chart_dist(xs[a][:, -1:], ys[a][:, -1:], x, y).ravel())
+            np.minimum.at(near, (slot + ~rev[s]).ravel(),
+                          _chart_dist(xs[b][:, :1], ys[b][:, :1], x, y).ravel())
+            # the ends of side s: corner s + 1 is first on side s and last
+            # on side s + 2; corner s + 2 is last on side s and first on
+            # side s + 1
+            d = np.minimum(_chart_dist(xs[s][:, 0], ys[s][:, 0], xs[b][:, 0], ys[b][:, 0]),
+                           _chart_dist(xs[a][:, -1], ys[a][:, -1], xs[s][:, -1], ys[s][:, -1]))
+            np.minimum(d, _chart_dist(xs[a][:, -1], ys[a][:, -1], xs[b][:, 0], ys[b][:, 0]),
+                       out=d)
+            np.minimum.at(near, ends + sides[:, s], d)
+    if twin_pairs:
+        u, v, d = (np.concatenate([np.ravel(p[c]) for p in twin_pairs]) for c in range(3))
+        key, where = np.unique(np.minimum(u, v).astype(np.int64) * n + np.maximum(u, v),
+                               return_inverse=True)
+        shortest = np.full(len(key), np.inf)
+        np.minimum.at(shortest, where, d)
+        _add_pairs(pairs, key // n, key % n, shortest)
+    _add_pairs(pairs, edges[steiner_edge, 0], node, near[0:ends:2])
+    _add_pairs(pairs, node, edges[steiner_edge, 1], near[1:ends:2])
+    _add_pairs(pairs, edges[:, 0], edges[:, 1], near[ends:])
+    return pairs
 
-    def min_reduced(self, n):
-        """(lo, hi, length) of each distinct pair, at its shortest length.
 
-        The records are dropped; the columns are joined and sorted one at a
-        time, so the peak is four record-length arrays of 8 bytes.
-        """
-        val = self._joined("val")
-        key = self._joined("lo", np.int64)
-        key *= n
-        key += self._joined("hi")
-        order = np.argsort(key)
-        val = val[order]
-        key = key[order]
-        del order
-        start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        val = np.minimum.reduceat(val, start)
-        key = key[start]
-        return (key // n).astype(np.int32), (key % n).astype(np.int32), val
+def _chart_dist(xa, ya, xb, yb):
+    """Distances of chart points a and b, broadcast, summed as np.linalg.norm does."""
+    d = xa - xb
+    d *= d
+    dy = ya - yb
+    dy *= dy
+    d += dy
+    return np.sqrt(d, out=d)
 
-    def upper(self, n):
-        """The pairs as an upper-triangular (n, n) CSR; they must be distinct.
 
-        The records are dropped.
-        """
-        val, lo, hi = (self._joined(c) for c in ("val", "lo", "hi"))
-        return sparse.csr_matrix((val, (lo, hi)), shape=(n, n))
+def _add_pairs(pairs, u, v, d) -> None:
+    """Append the node pairs (u, v), broadcast together, with lengths d to the
+    (lo, hi, val) chunk lists `pairs`: int32 ids, smaller first."""
+    lo, hi, val = pairs
+    lo.append(np.minimum(u, v, dtype=np.int32).ravel())
+    hi.append(np.maximum(u, v, dtype=np.int32).ravel())
+    val.append(np.ravel(d))
+
+
+def _symmetric_csr(pairs, n):
+    """The (n, n) CSR of U + U.T, where U holds the distinct pairs lo < hi.
+
+    `pairs` holds (lo, hi, val) lists of chunks, which are emptied.  Row r
+    is row r of U.T (the columns below r) followed by row r of U (those
+    above).  U comes from scipy's COO conversion (a counting sort by row,
+    then a sort within each row) and U.T from its CSC conversion (a
+    counting sort), so every row comes out sorted and no sort over all
+    pairs runs.  The pairs, U, U.T and the result are never all held at
+    once: the peak is U and U.T with the result's indices, then their
+    lengths with the result.  Zero lengths are dropped, as a sparse sum
+    drops them.
+    """
+    cols = []
+    for chunks in pairs:
+        cols.append(np.concatenate(chunks))
+        chunks.clear()
+    lo, hi, val = cols
+    del cols
+    upper = sparse.csr_matrix((val, (lo, hi)), shape=(n, n))
+    del lo, hi, val
+    upper.eliminate_zeros()
+    lower = upper.tocsc()  # the arrays of U.T as a CSR
+    ptr = upper.indptr + lower.indptr
+    part = np.repeat(np.tile([True, False], n),
+                     np.c_[np.diff(lower.indptr), np.diff(upper.indptr)].ravel())
+    halves = [(lower.indices, upper.indices), (lower.data, upper.data)]
+    del upper, lower
+    indices = _interleaved(part, *halves.pop(0))
+    data = _interleaved(part, *halves.pop(0))
+    return sparse.csr_matrix((data, indices, ptr), shape=(n, n))
+
+
+def _interleaved(part, below, above):
+    """One array holding `below` where `part` is set and `above` elsewhere."""
+    out = np.empty(len(part), dtype=below.dtype)
+    out[part] = below
+    out[~part] = above
+    return out
 
 
 def _check_vertex(space: ConeSurface, vertex) -> None:
@@ -899,7 +982,8 @@ class DistanceCache:
     def ball_chunks(self, sources, radii):
         """Distance balls of `sources`: stored rows first, then swept ones.
 
-        `radii` is one radius per source, or one for all.  Yields
+        `radii` is one radius per source, or one for all; a radius that
+        is NaN or negative raises DomainError at the first chunk.  Yields
         ``(idx, ptr, ids, dist)`` per chunk: row k belongs to source
         ``idx[k]`` and is ``ids[ptr[k]:ptr[k+1]]`` with graph distances
         ``dist[ptr[k]:ptr[k+1]]``.  A row holds exactly the vertices within
@@ -918,6 +1002,8 @@ class DistanceCache:
         """
         sources = np.asarray(sources, dtype=np.int64)
         radii = np.broadcast_to(np.asarray(radii, dtype=float), sources.shape)
+        if not (radii >= 0).all():
+            raise DomainError("ball radii must be numbers >= 0")
         miss = self._covered[sources] < radii
         src = sources[~miss]
         count = self._count_within(src, radii[~miss])
@@ -1161,6 +1247,8 @@ def toponogov_check(space: ConeSurface, cache: DistanceCache,
     nothing enters the cache.
     """
     _check_cache(space, cache)
+    if math.isnan(kappa) or math.isnan(tol):
+        raise DomainError(f"kappa and tol must be numbers, got {kappa} and {tol}")
     if len(quadruple) != 4:
         raise DomainError(f"need four vertex ids (p, a, b, c), got {len(quadruple)}")
     for v in quadruple:

@@ -13,7 +13,7 @@ import pytest
 from alexlab import pde
 from alexlab.calculus import assemble_operator
 from alexlab.exceptions import AlexlabError, DomainError
-from alexlab.model import generalized_sine
+from alexlab.model import comparison_angle, generalized_sine
 from alexlab.pde import first_nonzero_eigenpair, harmonic_measure, solve_poisson_dirichlet
 from alexlab.report import make_report
 from alexlab.space import (DistanceCache, distance_field, flat_disk, flat_torus, icosphere,
@@ -89,6 +89,18 @@ INVALID_CALLS = {
     "vertex_block_id_V": lambda disk: cache(disk).vertex_block([disk.n_vertices]),
     # a bare ValueError from unpacking
     "toponogov_three_ids": lambda disk: toponogov_check(disk, cache(disk), (0, 1, 2), 0.0, 0.1),
+    # rows with no entries
+    "ball_chunks_radius_nan": lambda disk: list(cache(disk).ball_chunks([0, 1], math.nan)),
+    # a bare ValueError from csgraph.dijkstra
+    "ball_chunks_radius_negative": lambda disk: list(cache(disk).ball_chunks([0, 1], -1.0)),
+    # the verdict False
+    "toponogov_kappa_nan": lambda disk: toponogov_check(
+        disk, cache(disk), (0, 1, 2, 3), math.nan, 0.1),
+    "toponogov_tol_nan": lambda disk: toponogov_check(
+        disk, cache(disk), (0, 1, 2, 3), 0.0, math.nan),
+    # the angle pi
+    "comparison_angle_k_nan": lambda disk: comparison_angle(math.nan, 1.0, 1.0, 1.0),
+    "comparison_angle_sides_inf": lambda disk: comparison_angle(0.0, 1.0, math.inf, math.inf),
 }
 
 

@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse import csgraph
 
@@ -1221,6 +1222,48 @@ def test_graph_matrix_is_exactly_symmetric(name, spacing, tmp_path):
     assert np.array_equal(fld.predecessors, pred)
 
 
+def relabelled(surf, perm):
+    """The surface rebuilt through build_surface with vertex v renamed perm[v]."""
+    V = surf.n_vertices
+    old = np.argsort(perm)
+    keys = surf.edges[:, 0] * V + surf.edges[:, 1]  # sorted, as the edges are
+
+    def lengths(u, v):
+        a, b = old[u], old[v]
+        return surf.edge_lengths[np.searchsorted(keys, np.minimum(a, b) * V + np.maximum(a, b))]
+
+    embedding = None if surf.embedding is None else surf.embedding[old]
+    return build_surface(perm[surf.faces], lengths, surf.declared_k, embedding, surf.mesh_h)
+
+
+RELABEL_MESHES = {
+    "flat_disk": lambda: flat_disk(1.0, 0.2),
+    "cone_disk": lambda: cone_disk(3 * math.pi, 1.0, 0.25),
+    "flat_torus": lambda: flat_torus(1.0, 1 / 8),
+    "icosphere": lambda: icosphere(2),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(RELABEL_MESHES)), spacing=st.sampled_from([0.4, 1.0]),
+       data=st.data())
+def test_graph_does_not_depend_on_vertex_labels(name, spacing, data):
+    # relabelling turns edges around, so Steiner points are laid out from
+    # the other end and lengths may move in the last bits, but no arc may
+    # appear or vanish
+    surf = RELABEL_MESHES[name]()
+    perm = np.asarray(data.draw(st.permutations(range(surf.n_vertices))))
+    other = relabelled(surf, perm)
+    h = spacing * surf.mesh_h
+    g, g_other = surf.graph(h), other.graph(h)
+    assert g_other.n_nodes == g.n_nodes
+    assert g_other.matrix.nnz == g.matrix.nnz
+    src = data.draw(st.integers(0, surf.n_vertices - 1))
+    dist = distance_field(surf, src, h).vertex_dist
+    dist_other = distance_field(other, int(perm[src]), h).vertex_dist[perm]
+    np.testing.assert_array_max_ulp(dist, dist_other, maxulp=4)
+
+
 def test_surface_and_graph_are_freed_by_reference_count():
     # the graph holds no reference back to its surface, so no cycle waits
     # for the collector
@@ -1239,12 +1282,20 @@ def test_surface_and_graph_are_freed_by_reference_count():
             gc.enable()
 
 
-def test_graph_build_peak_memory():
-    # the arrays a build holds at once stay within 5 times the CSR it returns
-    surf = flat_torus(math.sqrt(math.pi), 0.04)
-    m, peak = traced_peak(lambda: surf.graph(0.016).matrix)
-    assert m.shape == (15488, 15488) and m.nnz == 2 * 129712
-    assert peak <= 5 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+@pytest.mark.parametrize("make, spacing, nodes, pairs", [
+    # the benchmark's torus at its spacing
+    (lambda: flat_torus(math.sqrt(math.pi), 0.04), lambda surf: 0.016, 15488, 129712),
+    # at spacing mesh_h most sides carry at most one Steiner point, so the
+    # per-face arrays weigh most against the CSR
+    (lambda: flat_disk(1.0, 0.05), lambda surf: surf.mesh_h, 2931, 11866),
+], ids=["torus_0.016", "disk_mesh_h"])
+def test_graph_build_peak_memory(make, spacing, nodes, pairs):
+    # the arrays a build holds at once, the CSR it returns included, stay
+    # within 2 times that CSR
+    surf = make()
+    m, peak = traced_peak(lambda: surf.graph(spacing(surf)).matrix)
+    assert m.shape == (nodes, nodes) and m.nnz == 2 * pairs
+    assert peak <= 2 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
 
 
 # ---------------------------------------------------------------------------
