@@ -696,8 +696,8 @@ def _arc_pairs(surf: ConeSurface, m, first, steiner_edge):
     # shortest length so far of each pair on one edge with a vertex end:
     # (lower end, node) at 2 (node - V), (node, upper end) at
     # 2 (node - V) + 1, and the ends of edge e at 2 (n - V) + e
-    near = np.full(2 * (n - V) + len(edges), np.inf)
     ends = 2 * (n - V)
+    near = np.full(ends + len(edges), np.inf)
     # along-edge segments
     seg = L / (m + 1)
     steps = m > 0
